@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -11,12 +10,12 @@ from pathlib import Path
 from .catalog import build_catalog, load_questions, load_spider_tables
 from .config import PipelineConfig, load_config
 from .errors import ConfigurationError, Text2SqlError
+from .evaluation import render_report
 from .pipeline import (
     StageSummary,
-    link_artifact_path,
-    linked_schema_from_json,
     load_predictions,
     make_gateway,
+    read_link_artifact,
     run_eval_stage,
     run_generate_stage,
     run_link_stage,
@@ -60,16 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    for name, needs_dataset in (
-        ("link", True),
-        ("generate", True),
-        ("eval", True),
-        ("run", True),
-        ("dump-prompt", True),
-    ):
+    for name in ("link", "generate", "eval", "run", "dump-prompt"):
         sub = commands.add_parser(name)
-        if needs_dataset:
-            _add_dataset_args(sub)
+        _add_dataset_args(sub)
         _add_config_args(sub)
         if name == "eval":
             sub.add_argument("--predictions", type=Path, default=None,
@@ -111,40 +103,49 @@ def _load_dataset(args: argparse.Namespace):
     return catalog, questions
 
 
-def _print_summary(summary: StageSummary) -> None:
-    print(
-        f"[{summary.name}] processed={summary.processed} "
-        f"skipped={summary.skipped} failed={len(summary.failures)}"
-    )
-    for question_id, message in summary.failures:
-        print(f"  question {question_id}: {message}", file=sys.stderr)
+def _print_summaries(*summaries: StageSummary) -> int:
+    """Print each stage's counts and failures; the exit code they amount to."""
+    for summary in summaries:
+        print(
+            f"[{summary.name}] processed={summary.processed} "
+            f"skipped={summary.skipped} failed={len(summary.failures)}"
+        )
+        for question_id, message in summary.failures:
+            print(f"  question {question_id}: {message}", file=sys.stderr)
+    return EXIT_OK if all(summary.ok for summary in summaries) else EXIT_PARTIAL
+
+
+def _eval_and_print(
+    catalog, questions, config: PipelineConfig, out_dir: Path, predictions_path: Path
+) -> None:
+    predictions = load_predictions(predictions_path) if predictions_path.is_file() else {}
+    report = run_eval_stage(catalog, questions, predictions, config, out_dir)
+    sys.stdout.write(render_report(report, "text").decode("utf-8"))
 
 
 def cmd_link(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     catalog, questions = _load_dataset(args)
     gateway = make_gateway(config)
-    summary = run_link_stage(catalog, questions, gateway, config, args.out, force=args.force)
-    _print_summary(summary)
-    return EXIT_OK if summary.ok else EXIT_PARTIAL
+    return _print_summaries(
+        run_link_stage(catalog, questions, gateway, config, args.out, force=args.force)
+    )
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     catalog, questions = _load_dataset(args)
     gateway = make_gateway(config)
-    summary = run_generate_stage(catalog, questions, gateway, config, args.out, force=args.force)
-    _print_summary(summary)
-    return EXIT_OK if summary.ok else EXIT_PARTIAL
+    return _print_summaries(
+        run_generate_stage(catalog, questions, gateway, config, args.out, force=args.force)
+    )
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     catalog, questions = _load_dataset(args)
     predictions_path = args.predictions or args.out / "predictions.json"
-    predictions = load_predictions(predictions_path) if predictions_path.is_file() else {}
-    run_eval_stage(catalog, questions, predictions, config, args.out)
-    sys.stdout.write((args.out / "report.txt").read_text(encoding="utf-8"))
+    _eval_and_print(catalog, questions, config, args.out, predictions_path)
     return EXIT_OK
 
 
@@ -153,21 +154,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     catalog, questions = _load_dataset(args)
     gateway = make_gateway(config)
 
-    failures = 0
+    summaries = []
     if config.effective_use_linking:
-        link_summary = run_link_stage(catalog, questions, gateway, config, args.out, force=args.force)
-        _print_summary(link_summary)
-        failures += len(link_summary.failures)
-    generate_summary = run_generate_stage(
-        catalog, questions, gateway, config, args.out, force=args.force
+        summaries.append(
+            run_link_stage(catalog, questions, gateway, config, args.out, force=args.force)
+        )
+    summaries.append(
+        run_generate_stage(catalog, questions, gateway, config, args.out, force=args.force)
     )
-    _print_summary(generate_summary)
-    failures += len(generate_summary.failures)
-
-    predictions = load_predictions(args.out / "predictions.json")
-    run_eval_stage(catalog, questions, predictions, config, args.out)
-    sys.stdout.write((args.out / "report.txt").read_text(encoding="utf-8"))
-    return EXIT_OK if failures == 0 else EXIT_PARTIAL
+    exit_code = _print_summaries(*summaries)
+    _eval_and_print(catalog, questions, config, args.out, args.out / "predictions.json")
+    return exit_code
 
 
 def cmd_dump_prompt(args: argparse.Namespace) -> int:
@@ -181,11 +178,9 @@ def cmd_dump_prompt(args: argparse.Namespace) -> int:
 
     view = schema
     if config.effective_use_linking:
-        link_path = link_artifact_path(args.out, question)
-        if link_path.is_file():
-            view = linked_schema_from_json(
-                json.loads(link_path.read_text(encoding="utf-8"))["linked"]
-            )
+        linked = read_link_artifact(args.out, question)
+        if linked is not None:
+            view = linked[0]
         else:
             log.warning("no linking artifact for %s; dumping full-schema prompt", args.question_id)
     exchange = build_generation_prompt(

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, get_type_hints
 
 from .errors import ConfigurationError
 from .linking import LinkingConfig
@@ -120,27 +119,7 @@ def _coerce(name: str, raw: Any, target_type: type) -> Any:
         raise ConfigurationError(f"cannot parse {name}={raw!r} as {target_type.__name__}") from exc
 
 
-_FIELD_TYPES = {
-    "model_name": str,
-    "temperature": float,
-    "n_samples": int,
-    "recall_samples": int,
-    "k_tables": int,
-    "k_columns": int,
-    "exec_timeout": float,
-    "max_inflight_requests": int,
-    "backend": str,
-    "cache_dir": Path,
-    "api_base": str,
-    "use_calibration": bool,
-    "use_linking": bool,
-    "use_self_consistency": bool,
-    "include_foreign_keys": bool,
-    "layout": str,
-    "max_generation_tokens": int,
-    "max_recall_tokens": int,
-    "retry_attempts": int,
-}
+_FIELD_TYPES = get_type_hints(PipelineConfig)
 
 
 def load_config(
@@ -180,14 +159,3 @@ def api_key_from_env(env: Mapping[str, str] | None = None) -> str:
     env = os.environ if env is None else env
     return env.get(API_KEY_ENV, "") or env.get("OPENAI_API_KEY", "")
 
-
-def config_as_dict(config: PipelineConfig) -> dict[str, Any]:
-    out = {}
-    for field_info in fields(config):
-        value = getattr(config, field_info.name)
-        out[field_info.name] = str(value) if isinstance(value, Path) else value
-    return out
-
-
-def replace_config(config: PipelineConfig, **changes: Any) -> PipelineConfig:
-    return dataclasses.replace(config, **changes)

@@ -203,44 +203,24 @@ def pairwise_auc(scored: Sequence[tuple[float, bool]]) -> float | None:
 
 def recall_auc(
     per_question: Sequence[tuple[RecallScores, set[str], set[tuple[str, str]]]],
-    macro: bool = False,
 ) -> tuple[float | None, float | None]:
     """Ranking quality of recall scores against gold schema items.
 
-    Default pooling concatenates every question's scored items into one global
-    ranking; ``macro=True`` instead averages per-question AUCs, skipping
-    questions where the statistic is undefined.
+    Every question's scored items are pooled into one global ranking per kind.
     """
     table_pairs: list[tuple[float, bool]] = []
     column_pairs: list[tuple[float, bool]] = []
-    table_per_question: list[float] = []
-    column_per_question: list[float] = []
-
     for scores, gold_tables, gold_columns in per_question:
         gold_tables_lower = {name.lower() for name in gold_tables}
         gold_columns_lower = {(t.lower(), c.lower()) for t, c in gold_columns}
-        q_tables = [
+        table_pairs.extend(
             (score, name.lower() in gold_tables_lower)
             for name, score in scores.table_scores.items()
-        ]
-        q_columns = [
+        )
+        column_pairs.extend(
             (score, (t.lower(), c.lower()) in gold_columns_lower)
             for (t, c), score in scores.column_scores.items()
-        ]
-        table_pairs.extend(q_tables)
-        column_pairs.extend(q_columns)
-        if macro:
-            for pairs, sink in ((q_tables, table_per_question), (q_columns, column_per_question)):
-                value = pairwise_auc(pairs)
-                if value is not None:
-                    sink.append(value)
-
-    if macro:
-        table_auc = sum(table_per_question) / len(table_per_question) if table_per_question else None
-        column_auc = (
-            sum(column_per_question) / len(column_per_question) if column_per_question else None
         )
-        return table_auc, column_auc
     return pairwise_auc(table_pairs), pairwise_auc(column_pairs)
 
 

@@ -8,6 +8,7 @@ execution-accuracy scoring.
 
 from __future__ import annotations
 
+import re
 import sqlite3
 import threading
 from dataclasses import dataclass, replace
@@ -67,7 +68,8 @@ class ExecutionOutcome:
 
 
 def is_order_sensitive(sql: str) -> bool:
-    """True iff ORDER BY appears at subquery depth zero, outside string literals."""
+    """True iff ORDER BY appears at subquery depth zero, outside string
+    literals, quoted identifiers and comments."""
     tokens = _depth_zero_tokens(sql)
     for first, second in zip(tokens, tokens[1:]):
         if first == "order" and second == "by":
@@ -75,44 +77,29 @@ def is_order_sensitive(sql: str) -> bool:
     return False
 
 
+# An unterminated literal, identifier or comment runs to the end of the text;
+# characters no alternative matches separate words.
+_LEXEME_RE = re.compile(
+    r"'[^']*'?"  # string literal
+    r'|"[^"]*"?|\[[^\]]*\]?|`[^`]*`?'  # quoted identifiers
+    r"|--[^\n]*|/\*.*?(?:\*/|\Z)"  # comments
+    r"|(?P<paren>[()])|(?P<word>\w+)",
+    re.DOTALL,
+)
+
+
 def _depth_zero_tokens(sql: str) -> list[str]:
+    """Lower-cased words outside parentheses, quotes and comments, as SQLite
+    reads them."""
     tokens: list[str] = []
-    word: list[str] = []
     depth = 0
-    in_single = False
-    in_double = False
-
-    def flush() -> None:
-        if word and depth == 0:
-            tokens.append("".join(word).lower())
-        word.clear()
-
-    for ch in sql:
-        if in_single:
-            if ch == "'":
-                in_single = False
-            continue
-        if in_double:
-            if ch == '"':
-                in_double = False
-            continue
-        if ch == "'":
-            flush()
-            in_single = True
-        elif ch == '"':
-            flush()
-            in_double = True
-        elif ch == "(":
-            flush()
-            depth += 1
-        elif ch == ")":
-            flush()
-            depth = max(0, depth - 1)
-        elif ch.isalnum() or ch == "_":
-            word.append(ch)
-        else:
-            flush()
-    flush()
+    for match in _LEXEME_RE.finditer(sql):
+        kind = match.lastgroup
+        if kind == "word":
+            if depth == 0:
+                tokens.append(match.group().lower())
+        elif kind == "paren":
+            depth = depth + 1 if match.group() == "(" else max(0, depth - 1)
     return tokens
 
 

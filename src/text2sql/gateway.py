@@ -90,6 +90,21 @@ def request_fingerprint(exchange: ChatExchange) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def atomic_write_text(path: Path, text: str) -> None:
+    """Publish a file by writing a temporary sibling and renaming it over
+    ``path``, so readers never see a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        if os.path.exists(tmp_name):
+            os.unlink(tmp_name)
+        raise
+
+
 class CacheStore:
     """Directory of ``<fingerprint>.json`` files holding request and response."""
 
@@ -125,17 +140,7 @@ class CacheStore:
         }
         payload = json.dumps(entry, indent=2, sort_keys=True)
         with self._write_lock:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            # Atomic publish so readers never see partial files.
-            fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, self.path_for(fingerprint))
-            except BaseException:
-                if os.path.exists(tmp_name):
-                    os.unlink(tmp_name)
-                raise
+            atomic_write_text(self.path_for(fingerprint), payload)
 
     def fingerprints(self) -> list[str]:
         if not self.directory.is_dir():

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +25,7 @@ from .evaluation import (
     recall_auc,
     render_report,
 )
-from .gateway import CacheStore, LiveGateway, RecordingGateway, ReplayGateway
+from .gateway import CacheStore, LiveGateway, RecordingGateway, ReplayGateway, atomic_write_text
 from .linking import RecallScores, link_schema
 from .voting import VoteResult, generate_sql
 
@@ -69,19 +67,6 @@ def make_gateway(config: PipelineConfig, api_key: str | None = None):
     if config.backend == "record":
         return RecordingGateway(live, cache)
     return live
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
 
 
 def _dump_json(path: Path, payload) -> None:
@@ -127,22 +112,71 @@ _SKIPPED = "skipped"
 _PROCESSED = "processed"
 
 
-def _run_pool(config: PipelineConfig, summary: StageSummary, process, questions) -> None:
-    """Run per-question work on a bounded pool; tally statuses on this thread."""
+def _pool_map(config: PipelineConfig, fn, items) -> list:
+    """Apply fn to every item on a pool of max_inflight_requests threads;
+    results come back in input order."""
     with ThreadPoolExecutor(max_workers=config.max_inflight_requests) as pool:
-        futures = [pool.submit(process, question) for question in questions]
-        for future in futures:
-            status = future.result()
-            if status == _PROCESSED:
-                summary.processed += 1
-            elif status == _SKIPPED:
-                summary.skipped += 1
-            else:
-                summary.failures.append(status)
+        return list(pool.map(fn, items))
+
+
+def _run_stage(
+    name: str,
+    catalog: dict[str, DatabaseSchema],
+    questions: list[Question],
+    config: PipelineConfig,
+    out_dir: Path,
+    artifact_path,
+    work,
+    force: bool,
+) -> StageSummary:
+    """Write ``work(question, schema)`` as JSON to ``artifact_path(out_dir,
+    question)`` for every question, skipping existing artifacts unless forced.
+
+    An exception from one question's work becomes a named failure in the
+    summary instead of aborting the batch.
+    """
+
+    def process(question: Question):
+        path = artifact_path(out_dir, question)
+        if path.is_file() and not force:
+            return _SKIPPED
+        schema = catalog.get(question.db_id)
+        if schema is None:
+            return (question.question_id, f"unknown db_id {question.db_id}")
+        try:
+            payload = work(question, schema)
+        except Text2SqlError as exc:
+            return (question.question_id, str(exc))
+        except Exception as exc:
+            log.debug("%s stage failed on question %s", name, question.question_id, exc_info=True)
+            return (question.question_id, f"{type(exc).__name__}: {exc}")
+        _dump_json(path, payload)
+        return _PROCESSED
+
+    summary = StageSummary(name)
+    for status in _pool_map(config, process, questions):
+        if status == _PROCESSED:
+            summary.processed += 1
+        elif status == _SKIPPED:
+            summary.skipped += 1
+        else:
+            summary.failures.append(status)
+    return summary
 
 
 def link_artifact_path(out_dir: Path, question: Question) -> Path:
     return out_dir / "link" / f"{question.question_id}.json"
+
+
+def read_link_artifact(
+    out_dir: Path, question: Question
+) -> tuple[LinkedSchema, RecallScores] | None:
+    """The linked schema and recall scores stored for a question, if any."""
+    path = link_artifact_path(out_dir, question)
+    if not path.is_file():
+        return None
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    return linked_schema_from_json(payload["linked"]), scores_from_json(payload["scores"])
 
 
 def run_link_stage(
@@ -154,31 +188,16 @@ def run_link_stage(
     force: bool = False,
 ) -> StageSummary:
     """Write one linking artifact (linked schema + recall scores) per question."""
-    summary = StageSummary("link")
 
-    def process(question: Question):
-        path = link_artifact_path(out_dir, question)
-        if path.is_file() and not force:
-            return _SKIPPED
-        schema = catalog.get(question.db_id)
-        if schema is None:
-            return (question.question_id, f"unknown db_id {question.db_id}")
-        try:
-            linked, scores = link_schema(schema, question, gateway, config.linking_config())
-        except Text2SqlError as exc:
-            return (question.question_id, str(exc))
-        _dump_json(
-            path,
-            {
-                "question_id": question.question_id,
-                "linked": linked_schema_to_json(linked),
-                "scores": scores_to_json(scores),
-            },
-        )
-        return _PROCESSED
+    def work(question: Question, schema: DatabaseSchema) -> dict:
+        linked, scores = link_schema(schema, question, gateway, config.linking_config())
+        return {
+            "question_id": question.question_id,
+            "linked": linked_schema_to_json(linked),
+            "scores": scores_to_json(scores),
+        }
 
-    _run_pool(config, summary, process, questions)
-    return summary
+    return _run_stage("link", catalog, questions, config, out_dir, link_artifact_path, work, force)
 
 
 def vote_trace_path(out_dir: Path, question: Question) -> Path:
@@ -208,42 +227,33 @@ def run_generate_stage(
 ) -> StageSummary:
     """Produce one voted prediction per question plus a vote-trace artifact,
     then assemble predictions.json in dataset order."""
-    summary = StageSummary("generate")
 
-    def process(question: Question):
-        path = vote_trace_path(out_dir, question)
-        if path.is_file() and not force:
-            return _SKIPPED
-        schema = catalog.get(question.db_id)
-        if schema is None:
-            return (question.question_id, f"unknown db_id {question.db_id}")
+    def work(question: Question, schema: DatabaseSchema) -> dict:
         view = schema
         if config.effective_use_linking:
-            link_path = link_artifact_path(out_dir, question)
-            if not link_path.is_file():
-                return (question.question_id, f"missing linking artifact {link_path}")
-            view = linked_schema_from_json(
-                json.loads(link_path.read_text(encoding="utf-8"))["linked"]
-            )
-        try:
-            vote = generate_sql(
-                question,
-                view,
-                gateway,
-                schema.sqlite_path,
-                config.prompt_config(),
-                n_samples=config.effective_n_samples,
-                temperature=config.temperature,
-                model_name=config.model_name,
-                max_output_tokens=config.max_generation_tokens,
-                exec_timeout=config.exec_timeout,
-            )
-        except Text2SqlError as exc:
-            return (question.question_id, str(exc))
-        _dump_json(path, _vote_trace(question, vote))
-        return _PROCESSED
+            linked = read_link_artifact(out_dir, question)
+            if linked is None:
+                raise Text2SqlError(
+                    f"missing linking artifact {link_artifact_path(out_dir, question)}"
+                )
+            view = linked[0]
+        vote = generate_sql(
+            question,
+            view,
+            gateway,
+            schema.sqlite_path,
+            config.prompt_config(),
+            n_samples=config.effective_n_samples,
+            temperature=config.temperature,
+            model_name=config.model_name,
+            max_output_tokens=config.max_generation_tokens,
+            exec_timeout=config.exec_timeout,
+        )
+        return _vote_trace(question, vote)
 
-    _run_pool(config, summary, process, questions)
+    summary = _run_stage(
+        "generate", catalog, questions, config, out_dir, vote_trace_path, work, force
+    )
 
     predictions = []
     for question in questions:
@@ -302,19 +312,16 @@ def run_eval_stage(
     def score(record):
         return execution_accuracy([record], timeout=config.exec_timeout)[0]
 
-    with ThreadPoolExecutor(max_workers=config.max_inflight_requests) as pool:
-        eval_records = list(pool.map(score, records)) + unmatched
+    eval_records = _pool_map(config, score, records) + unmatched
 
     per_question = []
     for question in questions:
-        path = link_artifact_path(out_dir, question)
-        if not path.is_file():
+        linked = read_link_artifact(out_dir, question)
+        if linked is None:
             continue
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        scores = scores_from_json(payload["scores"])
         schema = catalog[question.db_id]
         gold_tables, gold_columns = extract_gold_schema_items(question.gold_sql, schema)
-        per_question.append((scores, gold_tables, gold_columns))
+        per_question.append((linked[1], gold_tables, gold_columns))
     table_auc, column_auc = recall_auc(per_question) if per_question else (None, None)
 
     report = build_report(eval_records, table_auc=table_auc, column_auc=column_auc)

@@ -2,7 +2,8 @@
 
 Completions are normalized into runnable candidates, executed once each, and
 grouped by result equivalence; the winner comes from the largest group. Errors,
-timeouts, and unparseable completions are removed before voting.
+timeouts, oversized results, and unparseable completions are removed before
+voting.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 
 from .catalog import Question, SchemaView
 from .executor import (
+    STATUS_OVERFLOW,
     STATUS_TIMEOUT,
     ResultTable,
     execute_sql,
@@ -23,10 +25,16 @@ from .prompts import PromptConfig, build_generation_prompt
 
 DISCARD_SQL_ERROR = "SqlError"
 DISCARD_TIMEOUT = "Timeout"
+DISCARD_OVERFLOW = "Overflow"
 DISCARD_UNPARSEABLE = "Unparseable"
+
+_DISCARD_REASONS = {STATUS_TIMEOUT: DISCARD_TIMEOUT, STATUS_OVERFLOW: DISCARD_OVERFLOW}
 
 _FENCE_BLOCK_RE = re.compile(r"```[a-zA-Z]*\n(.*?)```", re.DOTALL)
 _SQL_LINE_RE = re.compile(r"^\s*(select|with)\b", re.IGNORECASE)
+# Trailing whitespace and semicolons, in any mix. The lookbehind lets a match
+# start only where a run begins, which keeps the scan linear.
+_TRAILING_RE = re.compile(r"(?<![\s;])[\s;]+\Z")
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,7 @@ class SqlCandidate:
 
 @dataclass
 class ExecutionCluster:
-    result: ResultTable | None
+    result: ResultTable
     members: list[SqlCandidate] = field(default_factory=list)
 
     @property
@@ -66,7 +74,7 @@ def postprocess_completion(raw: str, sample_index: int) -> SqlCandidate:
     """Normalize one completion into a runnable candidate.
 
     Strips code fences and leading prose, re-attaches the SELECT the prompt
-    ended with, collapses newlines, and drops a trailing semicolon. The whole
+    ended with, collapses newlines, and drops trailing semicolons. The whole
     transformation is idempotent; an empty residue marks the candidate
     unparseable.
     """
@@ -75,7 +83,7 @@ def postprocess_completion(raw: str, sample_index: int) -> SqlCandidate:
     if fenced:
         text = fenced.group(1)
     elif "```" in text:
-        text = text.split("```", 1)[1]
+        text = text.split("```", 2)[1]
 
     lines = text.splitlines()
     for idx, line in enumerate(lines):
@@ -84,7 +92,7 @@ def postprocess_completion(raw: str, sample_index: int) -> SqlCandidate:
             break
     text = " ".join(line.strip() for line in lines if line.strip())
 
-    text = text.strip().rstrip(";").strip()
+    text = _TRAILING_RE.sub("", text).strip()
     if not text:
         return SqlCandidate(text="", sample_index=sample_index, raw_completion=raw)
     if not _SQL_LINE_RE.match(text):
@@ -109,11 +117,11 @@ def cluster_by_execution(
             continue
         outcome = execute_sql(db_path, candidate.text, timeout=timeout)
         if not outcome.ok:
-            reason = DISCARD_TIMEOUT if outcome.status == STATUS_TIMEOUT else DISCARD_SQL_ERROR
+            reason = _DISCARD_REASONS.get(outcome.status, DISCARD_SQL_ERROR)
             discarded.append((candidate.sample_index, reason))
             continue
         for cluster in clusters:
-            if cluster.result is not None and results_equivalent(cluster.result, outcome.table):
+            if results_equivalent(cluster.result, outcome.table):
                 cluster.members.append(candidate)
                 break
         else:
@@ -152,8 +160,8 @@ def generate_sql(
 ) -> VoteResult:
     """Sample n completions for one question and vote by execution result.
 
-    With n_samples == 1 the single post-processed candidate is returned
-    directly, skipping execution-based voting.
+    A single sample goes through the same vote, so a lone failing sample is
+    discarded and returned as the flagged fallback.
     """
     exchange: ChatExchange = build_generation_prompt(
         view,
@@ -168,21 +176,6 @@ def generate_sql(
     candidates = [
         postprocess_completion(text, index) for index, text in enumerate(completion.texts)
     ]
-
-    if n_samples == 1:
-        single = candidates[0]
-        if single.unparseable:
-            return VoteResult(
-                winner=single,
-                clusters=[],
-                discarded=[(0, DISCARD_UNPARSEABLE)],
-                fallback_used=True,
-            )
-        return VoteResult(
-            winner=single,
-            clusters=[ExecutionCluster(result=None, members=[single])],
-            discarded=[],
-        )
 
     clusters, discarded = cluster_by_execution(candidates, db_path, timeout=exec_timeout)
     return select_final(clusters, discarded, fallback=candidates[0])

@@ -180,18 +180,6 @@ def test_recall_auc_pools_across_questions():
     assert column_auc == pytest.approx(_auc_oracle(pooled_columns))
 
 
-def test_recall_auc_macro_average():
-    scores_a = RecallScores({"t": 1.0, "u": 0.0}, {})
-    scores_b = RecallScores({"t": 0.0, "u": 1.0}, {})
-    per_question = [
-        (scores_a, {"t"}, set()),   # AUC 1.0
-        (scores_b, {"t"}, set()),   # AUC 0.0
-    ]
-    table_auc, column_auc = recall_auc(per_question, macro=True)
-    assert table_auc == pytest.approx(0.5)
-    assert column_auc is None
-
-
 def test_render_empty_report_shows_na():
     report = build_report([])
     text = render_report(report, "text").decode()

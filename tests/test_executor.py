@@ -45,6 +45,8 @@ def test_write_statement_refused(concert_db):
     outcome = execute_sql(concert_db, "INSERT INTO singer VALUES (9, 'x', 'y', 'z', 'w', 1, 1)")
     assert outcome.status == STATUS_ERROR
     assert outcome.message == "write statement refused"
+    outcome = execute_sql(concert_db, "/* c */ DELETE FROM singer")
+    assert outcome.message == "write statement refused"
 
 
 def test_missing_database_is_environment_error(tmp_path):
@@ -144,31 +146,36 @@ def test_order_by_in_subquery_ignored():
 def test_order_by_inside_literal_ignored():
     assert not is_order_sensitive("SELECT 'order by' FROM t")
     assert not is_order_sensitive('SELECT "order by" FROM t')
+    assert not is_order_sensitive("SELECT name FROM singer -- order by age")
+    assert not is_order_sensitive("SELECT [order by] FROM t")
+    assert not is_order_sensitive("SELECT `order` FROM t /* order by x */")
 
 
 def _oracle_order_sensitive(sql: str) -> bool:
-    # Character-level reference: strip literals, then walk chars tracking depth.
+    # Character-level reference: blank literals, quoted identifiers and
+    # comments, then walk chars tracking depth.
+    closers = {"'": "'", '"': '"', "[": "]", "`": "`", "--": "\n", "/*": "*/"}
     chars = []
-    in_single = in_double = False
-    for ch in sql:
-        if in_single:
-            if ch == "'":
-                in_single = False
-            chars.append(" ")
+    closer = None
+    i = 0
+    while i < len(sql):
+        if closer is not None:
+            if sql.startswith(closer, i):
+                chars.append(" " * len(closer))
+                i += len(closer)
+                closer = None
+            else:
+                chars.append(" ")
+                i += 1
             continue
-        if in_double:
-            if ch == '"':
-                in_double = False
-            chars.append(" ")
-            continue
-        if ch == "'":
-            in_single = True
-            chars.append(" ")
-        elif ch == '"':
-            in_double = True
-            chars.append(" ")
+        opener = next((o for o in closers if sql.startswith(o, i)), None)
+        if opener is not None:
+            closer = closers[opener]
+            chars.append(" " * len(opener))
+            i += len(opener)
         else:
-            chars.append(ch)
+            chars.append(sql[i])
+            i += 1
     cleaned = "".join(chars)
     depth = 0
     lowered = cleaned.lower()
@@ -204,6 +211,11 @@ def test_order_scan_agrees_with_character_oracle():
         " (SELECT c FROM u ORDER BY c)",
         " GROUP BY a",
         ' "order by"',
+        " [order by]",
+        " `order` BY x",
+        " -- order by a\n",
+        " -- (",
+        " /* order by ( */",
         " LIMIT 5",
         " JOIN u ON t.a = u.a",
     ]

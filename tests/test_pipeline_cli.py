@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
+import shutil
 import threading
 import time
+from pathlib import Path
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from text2sql.cli import main
-from text2sql.config import PipelineConfig, load_config
+from text2sql.config import BACKENDS, PipelineConfig, load_config
 from text2sql.errors import ConfigurationError
 from text2sql.gateway import CacheStore, RecordingGateway, ReplayGateway
 from text2sql.minicorpus import ScriptedModel
@@ -18,6 +24,7 @@ from text2sql.pipeline import (
     run_generate_stage,
     run_link_stage,
 )
+from text2sql.prompts import LAYOUT_CLEAR, LAYOUT_COMPLICATED
 
 from conftest import FIXTURES
 
@@ -79,6 +86,33 @@ def test_config_rejects_bad_values(tmp_path):
     bad.write_text("unknown_key = 1\n")
     with pytest.raises(ConfigurationError):
         load_config(bad)
+
+
+_FIELD_VALUES = {
+    str: st.text(st.characters(whitelist_categories=("L", "N", "P")), min_size=1),
+    int: st.integers(min_value=1, max_value=10**6),
+    float: st.floats(min_value=1e-3, max_value=1e6),
+    bool: st.booleans(),
+    Path: st.from_regex(r"[a-z0-9_]{1,8}(/[a-z0-9_]{1,8}){0,2}", fullmatch=True).map(Path),
+}
+_CONSTRAINED_VALUES = {
+    "backend": st.sampled_from(BACKENDS),
+    "layout": st.sampled_from((LAYOUT_CLEAR, LAYOUT_COMPLICATED)),
+}
+
+
+@given(st.data())
+def test_env_value_reaches_config_as_annotated_type(data):
+    hints = get_type_hints(PipelineConfig)
+    for field_info in dataclasses.fields(PipelineConfig):
+        name = field_info.name
+        strategy = _CONSTRAINED_VALUES.get(name, _FIELD_VALUES[hints[name]])
+        value = data.draw(strategy, label=name)
+        config = load_config(env={"TEXT2SQL_" + name.upper(): str(value)})
+        assert type(getattr(config, name)) is type(value), name
+        assert getattr(config, name) == value, name
+    with pytest.raises(ConfigurationError):
+        load_config(env={}, overrides={"no_such_field": "1"})
 
 
 def test_no_self_consistency_forces_single_sample():
@@ -321,3 +355,33 @@ def test_cli_unknown_db_is_config_error(tmp_path, capsys):
 def test_replay_backend_never_needs_network(replay_cache):
     gateway = make_gateway(PipelineConfig(backend="replay", cache_dir=replay_cache))
     assert isinstance(gateway, ReplayGateway)
+
+
+def test_cli_run_survives_corrupt_cache_entry(
+    corpus_dir, replay_cache, questions, tmp_path, capsys
+):
+    cache_dir = tmp_path / "cache"
+    shutil.copytree(replay_cache, cache_dir)
+    broken = questions[0]
+    store = CacheStore(cache_dir)
+    fingerprint = next(
+        fp
+        for fp in store.fingerprints()
+        if f"\n### {broken.text}\nSELECT" in store.load_request(fp)["messages"][-1]["content"]
+    )
+    store.path_for(fingerprint).write_text("{not json")
+    rc = main(
+        [
+            "run",
+            "--tables", str(corpus_dir / "tables.json"),
+            "--questions", str(corpus_dir / "questions.json"),
+            "--backend", "replay",
+            "--cache-dir", str(cache_dir),
+            "--out", str(tmp_path / "arts"),
+        ]
+    )
+    assert rc == 1
+    assert f"question {broken.question_id}: JSONDecodeError" in capsys.readouterr().err
+    report = json.loads((tmp_path / "arts" / "report.json").read_text())
+    assert report["total"] == len(questions)
+    assert report["counts"]["mismatch"] == 1

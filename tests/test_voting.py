@@ -10,6 +10,7 @@ from text2sql.catalog import LinkedSchema, Question
 from text2sql.gateway import ChatCompletion
 from text2sql.prompts import PromptConfig
 from text2sql.voting import (
+    DISCARD_OVERFLOW,
     DISCARD_SQL_ERROR,
     DISCARD_UNPARSEABLE,
     SqlCandidate,
@@ -91,6 +92,15 @@ def test_cluster_conservation_with_errors(concert_db):
     assert sum(c.size for c in clusters) == 17
     assert len(discarded) == 3
     assert all(reason == DISCARD_SQL_ERROR for _, reason in discarded)
+
+
+def test_cluster_overflow_has_its_own_reason(concert_db):
+    # 6^6 = 46656 rows is past the executor's row cap.
+    cross = "SELECT 1 FROM singer a, singer b, singer c, singer d, singer e, singer f"
+    sqls = ["SELECT count(*) FROM singer"] * 2 + [cross, "SELECT * FROM ghost"]
+    clusters, discarded = cluster_by_execution(_candidates(*sqls), concert_db)
+    assert sum(c.size for c in clusters) == 2
+    assert discarded == [(2, DISCARD_OVERFLOW), (3, DISCARD_SQL_ERROR)]
 
 
 def test_cluster_order_insensitive_rows_group_together(concert_db):
@@ -210,7 +220,7 @@ def test_generate_sql_majority_of_fourteen(concert_db, singer_view, question):
     assert sum(c.size for c in result.clusters) + len(result.discarded) == 20
 
 
-def test_generate_sql_single_sample_skips_voting(concert_db, singer_view, question):
+def test_generate_sql_single_sample_votes_alone(concert_db, singer_view, question):
     result = generate_sql(
         question,
         singer_view,
@@ -222,6 +232,20 @@ def test_generate_sql_single_sample_skips_voting(concert_db, singer_view, questi
     assert result.winner.text == "SELECT count(*) FROM singer"
     assert len(result.clusters) == 1
     assert result.clusters[0].size == 1
+    assert not result.fallback_used
+
+    failing = generate_sql(
+        question,
+        singer_view,
+        _FixedGateway(["SELECT * FROM ghost"]),
+        concert_db,
+        PromptConfig(),
+        n_samples=1,
+    )
+    assert failing.winner.text == "SELECT * FROM ghost"
+    assert failing.fallback_used
+    assert failing.clusters == []
+    assert failing.discarded == [(0, DISCARD_SQL_ERROR)]
 
 
 def test_generate_sql_all_errors_flags_fallback(concert_db, singer_view, question):
