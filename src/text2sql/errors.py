@@ -35,6 +35,16 @@ class CacheMissError(GatewayError):
         self.fingerprint = fingerprint
 
 
+class CacheCorruptError(GatewayError):
+    """A cache entry exists but cannot be read back as a recorded response."""
+
+    def __init__(self, fingerprint: str, cause: Exception):
+        super().__init__(
+            f"{type(cause).__name__} in cache entry for fingerprint {fingerprint}: {cause}"
+        )
+        self.fingerprint = fingerprint
+
+
 class LinkingFailure(Text2SqlError):
     """Every recall sample was empty; the caller falls back to the full schema."""
 

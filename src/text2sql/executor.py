@@ -1,16 +1,17 @@
 """Read-only SQLite execution and result-table equivalence.
 
-Queries run against read-only connections with a watchdog timeout; results are
-materialized into ResultTable values whose equivalence semantics (numeric
-tolerance, multiset vs sequence comparison) drive both consistency voting and
-execution-accuracy scoring.
+Queries run against read-only connections under a deadline that SQLite's
+progress handler checks inside the connection; results are materialized into
+ResultTable values whose equivalence semantics (numeric tolerance, multiset vs
+sequence comparison) drive both consistency voting and execution-accuracy
+scoring.
 """
 
 from __future__ import annotations
 
 import re
 import sqlite3
-import threading
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from urllib.parse import quote
@@ -19,6 +20,13 @@ from .errors import DatabaseMissingError
 
 NUMERIC_TOLERANCE = 1e-6
 MAX_RESULT_ROWS = 10_000
+# Above this many rows, tables whose sorted rows differ beyond the tolerance are
+# not equivalent; the pairwise matching that catches near-tolerance values
+# sorting apart is quadratic.
+TOLERANT_MATCH_MAX_ROWS = 1000
+# SQLite virtual-machine instructions between two deadline checks; a check costs
+# one clock read, and 10 000 instructions take well under a millisecond.
+PROGRESS_CHECK_OPS = 10_000
 
 STATUS_SUCCESS = "success"
 STATUS_ERROR = "error"
@@ -70,11 +78,11 @@ class ExecutionOutcome:
 def is_order_sensitive(sql: str) -> bool:
     """True iff ORDER BY appears at subquery depth zero, outside string
     literals, quoted identifiers and comments."""
-    tokens = _depth_zero_tokens(sql)
-    for first, second in zip(tokens, tokens[1:]):
-        if first == "order" and second == "by":
-            return True
-    return False
+    return _orders_rows(_depth_zero_tokens(sql))
+
+
+def _orders_rows(tokens: list[str]) -> bool:
+    return any(first == "order" and second == "by" for first, second in zip(tokens, tokens[1:]))
 
 
 # An unterminated literal, identifier or comment runs to the end of the text;
@@ -103,36 +111,32 @@ def _depth_zero_tokens(sql: str) -> list[str]:
     return tokens
 
 
-def _first_keyword(sql: str) -> str:
-    for token in _depth_zero_tokens(sql):
-        return token
-    return ""
-
-
 def execute_sql(db_path: Path | str, sql: str, timeout: float = 5.0) -> ExecutionOutcome:
     """Run one SELECT against the database, materializing the full result set.
 
-    Engine errors become SqlError outcomes, watchdog expiry becomes Timeout,
-    and anything that is not a SELECT/WITH statement is refused. A missing
-    database file is an environment fault and raises instead.
+    Engine errors become SqlError outcomes, running past ``timeout`` seconds
+    becomes Timeout, and anything that is not a SELECT/WITH statement is
+    refused. A missing database file is an environment fault and raises instead.
     """
     db_path = Path(db_path)
     if not db_path.is_file():
         raise DatabaseMissingError(f"database file not found: {db_path}")
-    if _first_keyword(sql) not in ("select", "with"):
+    tokens = _depth_zero_tokens(sql)
+    if not tokens or tokens[0] not in ("select", "with"):
         return ExecutionOutcome.sql_error("write statement refused")
 
     uri = f"file:{quote(str(db_path))}?mode=ro"
     conn = sqlite3.connect(uri, uri=True)
-    interrupted = threading.Event()
+    deadline = time.monotonic() + timeout
+    expired = False
 
-    def _interrupt() -> None:
-        interrupted.set()
-        conn.interrupt()
+    def past_deadline() -> bool:
+        # A true return makes SQLite abort the statement as interrupted.
+        nonlocal expired
+        expired = time.monotonic() > deadline
+        return expired
 
-    watchdog = threading.Timer(timeout, _interrupt)
-    watchdog.daemon = True
-    watchdog.start()
+    conn.set_progress_handler(past_deadline, PROGRESS_CHECK_OPS)
     try:
         cursor = conn.execute(sql)
         rows: list[tuple] = []
@@ -146,16 +150,15 @@ def execute_sql(db_path: Path | str, sql: str, timeout: float = 5.0) -> Executio
         column_count = len(cursor.description) if cursor.description else 0
         table = ResultTable(
             column_count=column_count,
-            rows=tuple(tuple(row) for row in rows),
-            order_sensitive=is_order_sensitive(sql),
+            rows=tuple(rows),
+            order_sensitive=_orders_rows(tokens),
         )
         return ExecutionOutcome.success(table)
     except sqlite3.Error as exc:
-        if interrupted.is_set():
+        if expired:
             return ExecutionOutcome.timeout()
         return ExecutionOutcome.sql_error(str(exc))
     finally:
-        watchdog.cancel()
         conn.close()
 
 
@@ -193,20 +196,23 @@ def _row_sort_key(row: tuple) -> tuple:
 
 def results_equivalent(a: ResultTable, b: ResultTable) -> bool:
     """Result equivalence: sequences when either side is order sensitive,
-    multisets otherwise, with tolerant cell comparison throughout."""
+    multisets otherwise, with tolerant cell comparison throughout.
+
+    Multisets of more than TOLERANT_MATCH_MAX_ROWS rows are compared row by row
+    after sorting only, so near-tolerance values that sort apart make such
+    tables unequal.
+    """
     if a.column_count != b.column_count or len(a.rows) != len(b.rows):
         return False
     if a.order_sensitive or b.order_sensitive:
         return all(_rows_equal(x, y) for x, y in zip(a.rows, b.rows))
-    # Fast path: exact multiset equality (Python already unifies 3 and 3.0).
-    if sorted(a.rows, key=_row_sort_key) == sorted(b.rows, key=_row_sort_key):
-        return True
     left = sorted(a.rows, key=_row_sort_key)
     right = sorted(b.rows, key=_row_sort_key)
-    if all(_rows_equal(x, y) for x, y in zip(left, right)):
+    # Fast path: exact multiset equality (Python already unifies 3 and 3.0).
+    if left == right or all(_rows_equal(x, y) for x, y in zip(left, right)):
         return True
     # Near-tolerance values can sort apart; fall back to explicit matching.
-    if len(left) > 1000:
+    if len(left) > TOLERANT_MATCH_MAX_ROWS:
         return False
     remaining = list(right)
     for row in left:

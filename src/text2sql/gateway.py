@@ -19,7 +19,13 @@ from pathlib import Path
 
 import requests
 
-from .errors import AuthenticationError, CacheMissError, GatewayError, RateLimitExhausted
+from .errors import (
+    AuthenticationError,
+    CacheCorruptError,
+    CacheMissError,
+    GatewayError,
+    RateLimitExhausted,
+)
 
 log = logging.getLogger(__name__)
 
@@ -116,15 +122,20 @@ class CacheStore:
         return self.directory / f"{fingerprint}.json"
 
     def load(self, fingerprint: str) -> ChatCompletion | None:
+        """The recorded completion, or None when there is no entry. An entry
+        that does not parse raises CacheCorruptError."""
         path = self.path_for(fingerprint)
         if not path.is_file():
             return None
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        usage = entry.get("usage")
-        return ChatCompletion(
-            texts=tuple(entry["texts"]),
-            usage=TokenUsage(**usage) if usage else None,
-        )
+        try:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            usage = entry.get("usage")
+            return ChatCompletion(
+                texts=tuple(entry["texts"]),
+                usage=TokenUsage(**usage) if usage else None,
+            )
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise CacheCorruptError(fingerprint, exc) from exc
 
     def store(self, fingerprint: str, exchange: ChatExchange, completion: ChatCompletion) -> None:
         entry = {
@@ -224,7 +235,13 @@ class LiveGateway:
                 continue
             if response.status_code != 200:
                 raise GatewayError(f"HTTP {response.status_code}: {response.text[:500]}")
-            return self._parse_response(response.json(), exchange)
+            try:
+                payload = response.json()
+            except ValueError:
+                payload = None
+            if not isinstance(payload, dict):
+                raise GatewayError(f"HTTP 200 with non-JSON body: {response.text[:200]}")
+            return self._parse_response(payload, exchange)
 
         if rate_limited:
             raise RateLimitExhausted(f"rate limited after {self.max_attempts} attempts: {last_error}")
@@ -261,8 +278,14 @@ class RecordingGateway:
         self.cache = cache
 
     def complete(self, exchange: ChatExchange) -> ChatCompletion:
+        """The cached completion, else the transport's, which is then stored.
+        A corrupt cache entry counts as a miss and is overwritten."""
         fingerprint = request_fingerprint(exchange)
-        cached = self.cache.load(fingerprint)
+        try:
+            cached = self.cache.load(fingerprint)
+        except CacheCorruptError as exc:
+            log.warning("%s; fetching again", exc)
+            cached = None
         if cached is not None:
             return cached
         completion = self.transport.complete(exchange)

@@ -1,9 +1,9 @@
 """Execution-consistency voting over sampled SQL completions.
 
-Completions are normalized into runnable candidates, executed once each, and
-grouped by result equivalence; the winner comes from the largest group. Errors,
-timeouts, oversized results, and unparseable completions are removed before
-voting.
+Completions are normalized into runnable candidates, executed once per distinct
+text, and grouped by result equivalence; the winner comes from the largest
+group. Errors, timeouts, oversized results, and unparseable completions are
+removed before voting.
 """
 
 from __future__ import annotations
@@ -103,31 +103,50 @@ def postprocess_completion(raw: str, sample_index: int) -> SqlCandidate:
 def cluster_by_execution(
     candidates: list[SqlCandidate], db_path: Path | str, timeout: float = 5.0
 ) -> tuple[list[ExecutionCluster], list[tuple[int, str]]]:
-    """Execute each candidate once and group successes by result equivalence.
+    """Execute each distinct candidate text once and group successes by result
+    equivalence.
 
-    Each candidate's own ORDER BY status decides its sequence sensitivity.
-    Clusters come back ordered by descending size, then ascending smallest
-    member index; failed candidates land in the discard list with a reason.
+    A repeated text joins the cluster, or takes the discard reason, of its
+    first occurrence. Each candidate's own ORDER BY status decides its sequence
+    sensitivity. Clusters come back ordered by descending size, then ascending
+    smallest member index; failed candidates land in the discard list with a
+    reason.
     """
     clusters: list[ExecutionCluster] = []
     discarded: list[tuple[int, str]] = []
+    # Text -> its cluster, or its discard reason. Equivalence is reflexive and
+    # deterministic and clusters are only appended, so a repeat would land in
+    # the same place if it were executed and compared again.
+    placed: dict[str, ExecutionCluster | str] = {}
     for candidate in candidates:
         if candidate.unparseable:
             discarded.append((candidate.sample_index, DISCARD_UNPARSEABLE))
             continue
-        outcome = execute_sql(db_path, candidate.text, timeout=timeout)
-        if not outcome.ok:
-            reason = _DISCARD_REASONS.get(outcome.status, DISCARD_SQL_ERROR)
-            discarded.append((candidate.sample_index, reason))
-            continue
-        for cluster in clusters:
-            if results_equivalent(cluster.result, outcome.table):
-                cluster.members.append(candidate)
-                break
+        place = placed.get(candidate.text)
+        if place is None:
+            place = placed[candidate.text] = _place(candidate.text, clusters, db_path, timeout)
+        if isinstance(place, str):
+            discarded.append((candidate.sample_index, place))
         else:
-            clusters.append(ExecutionCluster(result=outcome.table, members=[candidate]))
+            place.members.append(candidate)
     clusters.sort(key=lambda c: (-c.size, c.min_index))
     return clusters, discarded
+
+
+def _place(
+    text: str, clusters: list[ExecutionCluster], db_path: Path | str, timeout: float
+) -> ExecutionCluster | str:
+    """Execute one text and return the first cluster with an equivalent result,
+    appending a new one if none matches, or the discard reason on failure."""
+    outcome = execute_sql(db_path, text, timeout=timeout)
+    if not outcome.ok:
+        return _DISCARD_REASONS.get(outcome.status, DISCARD_SQL_ERROR)
+    for cluster in clusters:
+        if results_equivalent(cluster.result, outcome.table):
+            return cluster
+    cluster = ExecutionCluster(result=outcome.table)
+    clusters.append(cluster)
+    return cluster
 
 
 def select_final(

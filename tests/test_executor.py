@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sqlite3
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from text2sql.executor import (
     STATUS_ERROR,
     STATUS_OVERFLOW,
     STATUS_TIMEOUT,
+    TOLERANT_MATCH_MAX_ROWS,
     ResultTable,
     cells_equal,
     execute_sql,
@@ -59,8 +61,28 @@ def test_timeout_interrupts_runaway_query(concert_db):
         "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r) "
         "SELECT count(*) FROM r"
     )
-    outcome = execute_sql(concert_db, runaway, timeout=0.2)
+    # The deadline is checked inside the connection: sample the thread count
+    # while the query runs and expect no watchdog thread to appear.
+    counts = []
+    done = threading.Event()
+
+    def sample():
+        while not done.is_set():
+            counts.append(threading.active_count())
+            done.wait(0.005)
+
+    sampler = threading.Thread(target=sample)
+    sampler.start()
+    baseline = threading.active_count()
+    try:
+        outcome = execute_sql(concert_db, runaway, timeout=0.2)
+    finally:
+        done.set()
+        sampler.join(timeout=5)
+    assert not sampler.is_alive()
     assert outcome.status == STATUS_TIMEOUT
+    assert len(counts) > 1 and max(counts) <= baseline
+    assert execute_sql(concert_db, "SELECT count(*) FROM singer").table.rows == ((6,),)
 
 
 def test_row_cap_overflow_is_distinct_outcome(concert_db):
@@ -132,6 +154,16 @@ def test_near_tolerance_rows_match_across_sort_order():
     a = ResultTable(2, ((1.0, "a"), (1.0 + 5e-7, "b")))
     b = ResultTable(2, ((1.0 + 5e-7, "b"), (1.0, "a")))
     assert results_equivalent(a, b)
+    # Here the tolerance-equal rows sort apart, (1.0, "b") first on one side and
+    # (1.0, "a") on the other; the matching runs only up to the row cutoff.
+    swap_a = ((1.0, "b"), (1.0 + 5e-7, "a"))
+    swap_b = ((1.0 + 5e-7, "b"), (1.0, "a"))
+    for total, expected in ((TOLERANT_MATCH_MAX_ROWS, True), (TOLERANT_MATCH_MAX_ROWS + 1, False)):
+        padding = ((0.0, "pad"),) * (total - 2)
+        assert results_equivalent(
+            ResultTable(2, padding + swap_a), ResultTable(2, swap_b + padding)
+        ) is expected, total
+    assert TOLERANT_MATCH_MAX_ROWS == 1000
 
 
 def test_order_by_detected_at_top_level():

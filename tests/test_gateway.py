@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import json
+import logging
 import threading
 
 import pytest
 
-from text2sql.errors import AuthenticationError, CacheMissError, GatewayError, RateLimitExhausted
+from text2sql.errors import (
+    AuthenticationError,
+    CacheCorruptError,
+    CacheMissError,
+    GatewayError,
+    RateLimitExhausted,
+)
 from text2sql.gateway import (
     CacheStore,
     ChatCompletion,
@@ -118,6 +125,38 @@ def test_recording_is_cache_first(tmp_path):
     assert transport.calls == 1
 
 
+_CORRUPT_ENTRIES = ["{not json", "", "[1, 2]", '{"texts": 3}', '{"usage": null}']
+
+
+@pytest.mark.parametrize("corrupt", _CORRUPT_ENTRIES)
+def test_recording_treats_corrupt_entry_as_miss(tmp_path, caplog, corrupt):
+    cache = CacheStore(tmp_path)
+    exchange = _exchange()
+    fingerprint = request_fingerprint(exchange)
+    cache.path_for(fingerprint).write_text(corrupt)
+    transport = _StubTransport(("fresh",))
+    with caplog.at_level(logging.WARNING, logger="text2sql.gateway"):
+        completion = RecordingGateway(transport, cache).complete(exchange)
+    assert completion.texts == ("fresh",)
+    assert transport.calls == 1
+    assert fingerprint in caplog.text
+    assert cache.load(fingerprint).texts == ("fresh",)
+    assert list(tmp_path.iterdir()) == [cache.path_for(fingerprint)]
+
+
+@pytest.mark.parametrize("corrupt", _CORRUPT_ENTRIES)
+def test_replay_corrupt_entry_is_named_failure(tmp_path, corrupt):
+    cache = CacheStore(tmp_path)
+    exchange = _exchange()
+    fingerprint = request_fingerprint(exchange)
+    cache.path_for(fingerprint).write_text(corrupt)
+    with pytest.raises(CacheCorruptError) as excinfo:
+        ReplayGateway(cache).complete(exchange)
+    assert excinfo.value.fingerprint == fingerprint
+    assert fingerprint in str(excinfo.value)
+    assert cache.path_for(fingerprint).read_text() == corrupt
+
+
 def test_cache_entry_carries_request_payload(tmp_path):
     cache = CacheStore(tmp_path)
     exchange = _exchange("inspect me")
@@ -134,6 +173,8 @@ class _FakeResponse:
         self.text = text
 
     def json(self):
+        if self.text and not self._payload:
+            return json.loads(self.text)
         return self._payload
 
 
@@ -196,6 +237,19 @@ def test_live_wrong_completion_count_is_error_not_truncation():
     session = _FakeSession([_FakeResponse(200, _ok_payload(1))])
     with pytest.raises(GatewayError, match="n=3"):
         _live(session).complete(_exchange(n=3))
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["<html>gateway timeout</html>", "x" * 500, "[1, 2]", '"text"', "null"],
+    ids=["html", "long", "array", "string", "null"],
+)
+def test_live_non_json_ok_body_is_named_gateway_error(body):
+    session = _FakeSession([_FakeResponse(200, text=body)])
+    with pytest.raises(GatewayError) as excinfo:
+        _live(session).complete(_exchange())
+    assert str(excinfo.value) == f"HTTP 200 with non-JSON body: {body[:200]}"
+    assert len(session.bodies) == 1
 
 
 def test_gateway_cannot_mutate_messages():

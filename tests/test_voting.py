@@ -6,19 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from text2sql import voting
 from text2sql.catalog import LinkedSchema, Question
+from text2sql.executor import STATUS_OVERFLOW, STATUS_TIMEOUT, execute_sql, results_equivalent
 from text2sql.gateway import ChatCompletion
 from text2sql.prompts import PromptConfig
 from text2sql.voting import (
     DISCARD_OVERFLOW,
     DISCARD_SQL_ERROR,
+    DISCARD_TIMEOUT,
     DISCARD_UNPARSEABLE,
+    ExecutionCluster,
     SqlCandidate,
     cluster_by_execution,
     generate_sql,
     postprocess_completion,
     select_final,
 )
+
+from test_acceptance import CONCERT_POOL
 
 
 def test_postprocess_continuation_gets_select_prefix():
@@ -103,6 +109,59 @@ def test_cluster_overflow_has_its_own_reason(concert_db):
     assert discarded == [(2, DISCARD_OVERFLOW), (3, DISCARD_SQL_ERROR)]
 
 
+def test_cluster_executes_each_distinct_text_once(concert_db, monkeypatch):
+    executed = []
+
+    def counting_execute(db_path, sql, timeout=5.0):
+        executed.append(sql)
+        return execute_sql(db_path, sql, timeout=timeout)
+
+    monkeypatch.setattr(voting, "execute_sql", counting_execute)
+    distinct = ["SELECT count(*) FROM singer", "SELECT * FROM ghost", "SELECT max(age) FROM singer"]
+    sqls = [distinct[i % 3] for i in range(20)]
+    clusters, discarded = cluster_by_execution(_candidates(*sqls), concert_db)
+    assert sorted(executed) == sorted(distinct)
+    ghost_indices = [i for i, sql in enumerate(sqls) if sql == distinct[1]]
+    assert discarded == [(i, DISCARD_SQL_ERROR) for i in ghost_indices]
+    assert [sorted(m.sample_index for m in c.members) for c in clusters] == [
+        list(range(0, 20, 3)),
+        list(range(2, 20, 3)),
+    ]
+
+
+def _cluster_every_candidate(candidates, db_path):
+    """Reference: execute every candidate, repeats included, and compare each
+    success against the clusters in creation order."""
+    clusters: list[ExecutionCluster] = []
+    discarded = []
+    reasons = {STATUS_TIMEOUT: DISCARD_TIMEOUT, STATUS_OVERFLOW: DISCARD_OVERFLOW}
+    for candidate in candidates:
+        if candidate.unparseable:
+            discarded.append((candidate.sample_index, DISCARD_UNPARSEABLE))
+            continue
+        outcome = execute_sql(db_path, candidate.text)
+        if not outcome.ok:
+            discarded.append((candidate.sample_index, reasons.get(outcome.status, DISCARD_SQL_ERROR)))
+            continue
+        for cluster in clusters:
+            if results_equivalent(cluster.result, outcome.table):
+                cluster.members.append(candidate)
+                break
+        else:
+            clusters.append(ExecutionCluster(result=outcome.table, members=[candidate]))
+    clusters.sort(key=lambda c: (-c.size, c.min_index))
+    return clusters, discarded
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(CONCERT_POOL), min_size=1, max_size=20))
+def test_cluster_matches_executing_every_candidate(concert_db, raws):
+    candidates = [postprocess_completion(raw, i) for i, raw in enumerate(raws)]
+    assert cluster_by_execution(candidates, concert_db) == _cluster_every_candidate(
+        candidates, concert_db
+    )
+
+
 def test_cluster_order_insensitive_rows_group_together(concert_db):
     # Same multiset, different order: both order-insensitive, so one cluster.
     clusters, _ = cluster_by_execution(
@@ -151,8 +210,6 @@ def test_select_final_unanimous():
 
 def test_select_final_tie_breaks_by_lowest_overall_index():
     # Two clusters of equal size; indices interleaved so cluster B holds 0.
-    from text2sql.voting import ExecutionCluster
-
     a = ExecutionCluster(result=None, members=[_member(2), _member(3)])
     b = ExecutionCluster(result=None, members=[_member(0), _member(5)])
     result = select_final([a, b], [], fallback=_member(0))
@@ -171,8 +228,6 @@ def _member(index: int) -> SqlCandidate:
 
 
 def _synthetic_clusters(sizes):
-    from text2sql.voting import ExecutionCluster
-
     clusters = []
     index = 0
     for size in sizes:
@@ -294,8 +349,6 @@ def test_winning_class_invariant_under_permutation(concert_db):
         assert clusters[0].size == base_clusters[0].size
         strict = len(base_clusters) == 1 or base_clusters[0].size > base_clusters[1].size
         if strict:
-            from text2sql.executor import execute_sql, results_equivalent
-
             first = execute_sql(concert_db, base.winner.text)
             second = execute_sql(concert_db, result.winner.text)
             assert first.ok and second.ok
