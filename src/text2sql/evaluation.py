@@ -9,7 +9,12 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .catalog import DatabaseSchema
-from .executor import execute_sql, is_order_sensitive, results_equivalent, with_order_sensitivity
+from .executor import (
+    ReadOnlyConnection,
+    execute_sql,
+    results_equivalent,
+    with_order_sensitivity,
+)
 from .linking import RecallScores
 
 OUTCOME_MATCH = "match"
@@ -45,18 +50,19 @@ class EvalReport:
 def score_pair(
     predicted_sql: str, gold_sql: str, db_path: Path | str, timeout: float = 5.0
 ) -> str:
-    """Outcome of one prediction: both queries run, order sensitivity taken
-    from the gold query. A failing gold query flags a dataset/environment
-    problem and still counts against accuracy."""
-    gold_outcome = execute_sql(db_path, gold_sql, timeout=timeout)
-    if not gold_outcome.ok:
-        return OUTCOME_GOLD_ERROR
-    pred_outcome = execute_sql(db_path, predicted_sql, timeout=timeout)
+    """Outcome of one prediction: both queries run on one read-only
+    connection, order sensitivity taken from the gold query. A failing gold
+    query flags a dataset/environment problem and still counts against
+    accuracy."""
+    with ReadOnlyConnection(db_path) as connection:
+        gold_outcome = execute_sql(db_path, gold_sql, timeout=timeout, connection=connection)
+        if not gold_outcome.ok:
+            return OUTCOME_GOLD_ERROR
+        pred_outcome = execute_sql(db_path, predicted_sql, timeout=timeout, connection=connection)
     if not pred_outcome.ok:
         return OUTCOME_PRED_ERROR
-    ordered = is_order_sensitive(gold_sql)
-    gold_table = with_order_sensitivity(gold_outcome.table, ordered)
-    pred_table = with_order_sensitivity(pred_outcome.table, ordered)
+    gold_table = gold_outcome.table
+    pred_table = with_order_sensitivity(pred_outcome.table, gold_table.order_sensitive)
     return OUTCOME_MATCH if results_equivalent(gold_table, pred_table) else OUTCOME_MISMATCH
 
 

@@ -1,10 +1,17 @@
 """Read-only SQLite execution and result-table equivalence.
 
-Queries run against read-only connections under a deadline that SQLite's
-progress handler checks inside the connection; results are materialized into
-ResultTable values whose equivalence semantics (numeric tolerance, multiset vs
-sequence comparison) drive both consistency voting and execution-accuracy
-scoring.
+Queries run against read-only (``mode=ro``) connections under a per-statement
+deadline that SQLite's progress handler checks inside the connection; results
+are materialized into ResultTable values whose equivalence semantics (numeric
+tolerance, multiset vs sequence comparison) drive both consistency voting and
+execution-accuracy scoring.
+
+A connection lives as long as one unit of work: one question's vote, or one
+scored gold/predicted pair, shares a ReadOnlyConnection, and a bare
+execute_sql call opens and closes its own. Each statement still gets its own
+full deadline. Connections are deliberately not cached per thread or process:
+a measured per-thread cache kept every database's page cache alive and pushed
+peak RSS past the benchmark's bound.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import re
 import sqlite3
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from urllib.parse import quote
 
@@ -46,6 +54,12 @@ class ResultTable:
         for row in self.rows:
             if len(row) != self.column_count:
                 raise ValueError("row width does not match column_count")
+
+    @cached_property
+    def sorted_rows(self) -> tuple[tuple, ...]:
+        """Rows in canonical order, the multiset form results_equivalent
+        compares; sorted at most once per table."""
+        return tuple(sorted(self.rows, key=_row_sort_key))
 
 
 @dataclass(frozen=True)
@@ -111,22 +125,67 @@ def _depth_zero_tokens(sql: str) -> list[str]:
     return tokens
 
 
-def execute_sql(db_path: Path | str, sql: str, timeout: float = 5.0) -> ExecutionOutcome:
+def connect_readonly(db_path: Path | str) -> sqlite3.Connection:
+    """Open a read-only connection; a missing database file is an environment
+    fault and raises."""
+    db_path = Path(db_path)
+    if not db_path.is_file():
+        raise DatabaseMissingError(f"database file not found: {db_path}")
+    # Autocommit: no statement ever opens a transaction that would outlive it.
+    return sqlite3.connect(f"file:{quote(str(db_path))}?mode=ro", uri=True, isolation_level=None)
+
+
+class ReadOnlyConnection:
+    """A read-only connection to one database, shared by the statements of one
+    ``with`` block. It opens at the first statement that runs, so a block
+    whose statements are all refused opens none, and closes on leaving."""
+
+    def __init__(self, db_path: Path | str):
+        self.db_path = db_path
+        self._conn: sqlite3.Connection | None = None
+
+    def __enter__(self) -> "ReadOnlyConnection":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def get(self) -> sqlite3.Connection:
+        if self._conn is None:
+            self._conn = connect_readonly(self.db_path)
+        return self._conn
+
+
+def execute_sql(
+    db_path: Path | str,
+    sql: str,
+    timeout: float = 5.0,
+    *,
+    connection: ReadOnlyConnection | None = None,
+) -> ExecutionOutcome:
     """Run one SELECT against the database, materializing the full result set.
 
     Engine errors become SqlError outcomes, running past ``timeout`` seconds
     becomes Timeout, and anything that is not a SELECT/WITH statement is
-    refused. A missing database file is an environment fault and raises instead.
+    refused. A missing database file is an environment fault and raises when a
+    statement would run. ``connection``, if given, must be to ``db_path``; the
+    statement runs on it instead of on a connection of its own.
     """
-    db_path = Path(db_path)
-    if not db_path.is_file():
-        raise DatabaseMissingError(f"database file not found: {db_path}")
     tokens = _depth_zero_tokens(sql)
     if not tokens or tokens[0] not in ("select", "with"):
         return ExecutionOutcome.sql_error("write statement refused")
+    order_sensitive = _orders_rows(tokens)
+    if connection is None:
+        with ReadOnlyConnection(db_path) as own:
+            return _run_statement(own.get(), sql, timeout, order_sensitive)
+    return _run_statement(connection.get(), sql, timeout, order_sensitive)
 
-    uri = f"file:{quote(str(db_path))}?mode=ro"
-    conn = sqlite3.connect(uri, uri=True)
+
+def _run_statement(
+    conn: sqlite3.Connection, sql: str, timeout: float, order_sensitive: bool
+) -> ExecutionOutcome:
     deadline = time.monotonic() + timeout
     expired = False
 
@@ -137,8 +196,9 @@ def execute_sql(db_path: Path | str, sql: str, timeout: float = 5.0) -> Executio
         return expired
 
     conn.set_progress_handler(past_deadline, PROGRESS_CHECK_OPS)
+    cursor = conn.cursor()
     try:
-        cursor = conn.execute(sql)
+        cursor.execute(sql)
         rows: list[tuple] = []
         while True:
             batch = cursor.fetchmany(512)
@@ -149,9 +209,7 @@ def execute_sql(db_path: Path | str, sql: str, timeout: float = 5.0) -> Executio
                 return ExecutionOutcome.overflow()
         column_count = len(cursor.description) if cursor.description else 0
         table = ResultTable(
-            column_count=column_count,
-            rows=tuple(rows),
-            order_sensitive=_orders_rows(tokens),
+            column_count=column_count, rows=tuple(rows), order_sensitive=order_sensitive
         )
         return ExecutionOutcome.success(table)
     except sqlite3.Error as exc:
@@ -159,7 +217,9 @@ def execute_sql(db_path: Path | str, sql: str, timeout: float = 5.0) -> Executio
             return ExecutionOutcome.timeout()
         return ExecutionOutcome.sql_error(str(exc))
     finally:
-        conn.close()
+        # An overflow leaves the statement mid-fetch; finish it before the
+        # connection runs the next one.
+        cursor.close()
 
 
 def cells_equal(a, b) -> bool:
@@ -206,8 +266,8 @@ def results_equivalent(a: ResultTable, b: ResultTable) -> bool:
         return False
     if a.order_sensitive or b.order_sensitive:
         return all(_rows_equal(x, y) for x, y in zip(a.rows, b.rows))
-    left = sorted(a.rows, key=_row_sort_key)
-    right = sorted(b.rows, key=_row_sort_key)
+    left = a.sorted_rows
+    right = b.sorted_rows
     # Fast path: exact multiset equality (Python already unifies 3 and 3.0).
     if left == right or all(_rows_equal(x, y) for x, y in zip(left, right)):
         return True

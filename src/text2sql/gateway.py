@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import tempfile
 import threading
@@ -179,10 +180,25 @@ class ReplayGateway:
         return completion
 
 
+def _retry_after_seconds(value: str | None) -> float:
+    """The wait a numeric ``Retry-After`` header asks for, in seconds; 0.0 when
+    the header is missing, negative or not a number (an HTTP date included)."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return 0.0
+    return seconds if math.isfinite(seconds) and seconds > 0 else 0.0
+
+
 class LiveGateway:
-    """HTTP chat-completions client with bounded concurrency and retries."""
+    """HTTP chat-completions client with bounded concurrency and retries.
+
+    The wait before retry k (k >= 1) is ``backoff_seconds * 2 ** (k - 1)``, or
+    a longer numeric ``Retry-After`` sent with a 429 or 503.
+    """
 
     RETRYABLE_STATUS = (429, 500, 502, 503, 504)
+    RETRY_AFTER_STATUS = (429, 503)
 
     def __init__(
         self,
@@ -211,10 +227,12 @@ class LiveGateway:
         url = f"{self.base_url}/chat/completions"
         last_error: Exception | None = None
         rate_limited = False
+        retry_after = 0.0
 
         for attempt in range(self.max_attempts):
             if attempt:
-                time.sleep(self.backoff_seconds * 2 ** (attempt - 1))
+                time.sleep(max(retry_after, self.backoff_seconds * 2 ** (attempt - 1)))
+            retry_after = 0.0
             try:
                 with self._inflight:
                     response = self._session.post(
@@ -230,6 +248,8 @@ class LiveGateway:
                 )
             if response.status_code in self.RETRYABLE_STATUS:
                 rate_limited = rate_limited or response.status_code == 429
+                if response.status_code in self.RETRY_AFTER_STATUS:
+                    retry_after = _retry_after_seconds(response.headers.get("Retry-After"))
                 last_error = GatewayError(f"HTTP {response.status_code}: {response.text[:200]}")
                 log.warning("retryable response (attempt %d): HTTP %s", attempt + 1, response.status_code)
                 continue

@@ -1,9 +1,9 @@
 """Execution-consistency voting over sampled SQL completions.
 
 Completions are normalized into runnable candidates, executed once per distinct
-text, and grouped by result equivalence; the winner comes from the largest
-group. Errors, timeouts, oversized results, and unparseable completions are
-removed before voting.
+text on one read-only connection per question, and grouped by result
+equivalence; the winner comes from the largest group. Errors, timeouts,
+oversized results, and unparseable completions are removed before voting.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .catalog import Question, SchemaView
 from .executor import (
     STATUS_OVERFLOW,
     STATUS_TIMEOUT,
+    ReadOnlyConnection,
     ResultTable,
     execute_sql,
     results_equivalent,
@@ -108,7 +109,9 @@ def cluster_by_execution(
 
     A repeated text joins the cluster, or takes the discard reason, of its
     first occurrence. Each candidate's own ORDER BY status decides its sequence
-    sensitivity. Clusters come back ordered by descending size, then ascending
+    sensitivity. All texts run on one read-only connection, opened at the first
+    text that runs and closed before returning; each statement gets the full
+    ``timeout``. Clusters come back ordered by descending size, then ascending
     smallest member index; failed candidates land in the discard list with a
     reason.
     """
@@ -118,27 +121,34 @@ def cluster_by_execution(
     # deterministic and clusters are only appended, so a repeat would land in
     # the same place if it were executed and compared again.
     placed: dict[str, ExecutionCluster | str] = {}
-    for candidate in candidates:
-        if candidate.unparseable:
-            discarded.append((candidate.sample_index, DISCARD_UNPARSEABLE))
-            continue
-        place = placed.get(candidate.text)
-        if place is None:
-            place = placed[candidate.text] = _place(candidate.text, clusters, db_path, timeout)
-        if isinstance(place, str):
-            discarded.append((candidate.sample_index, place))
-        else:
-            place.members.append(candidate)
+    with ReadOnlyConnection(db_path) as connection:
+        for candidate in candidates:
+            if candidate.unparseable:
+                discarded.append((candidate.sample_index, DISCARD_UNPARSEABLE))
+                continue
+            place = placed.get(candidate.text)
+            if place is None:
+                place = placed[candidate.text] = _place(
+                    candidate.text, clusters, db_path, connection, timeout
+                )
+            if isinstance(place, str):
+                discarded.append((candidate.sample_index, place))
+            else:
+                place.members.append(candidate)
     clusters.sort(key=lambda c: (-c.size, c.min_index))
     return clusters, discarded
 
 
 def _place(
-    text: str, clusters: list[ExecutionCluster], db_path: Path | str, timeout: float
+    text: str,
+    clusters: list[ExecutionCluster],
+    db_path: Path | str,
+    connection: ReadOnlyConnection,
+    timeout: float,
 ) -> ExecutionCluster | str:
     """Execute one text and return the first cluster with an equivalent result,
     appending a new one if none matches, or the discard reason on failure."""
-    outcome = execute_sql(db_path, text, timeout=timeout)
+    outcome = execute_sql(db_path, text, timeout=timeout, connection=connection)
     if not outcome.ok:
         return _DISCARD_REASONS.get(outcome.status, DISCARD_SQL_ERROR)
     for cluster in clusters:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from text2sql import executor
 from text2sql.catalog import build_catalog, load_questions, load_spider_tables
 from text2sql.minicorpus import build_corpus, seed_replay_cache
 
@@ -52,6 +53,21 @@ def replay_cache(corpus_dir, tmp_path_factory) -> Path:
     link_summary, generate_summary = seed_replay_cache(corpus_dir, cache_dir)
     assert link_summary.ok and generate_summary.ok
     return cache_dir
+
+
+@pytest.fixture
+def opened_connections(monkeypatch) -> list:
+    """Every connection the executor opens while the test runs, in order."""
+    opened = []
+    connect = executor.connect_readonly
+
+    def counting_connect(db_path):
+        conn = connect(db_path)
+        opened.append(conn)
+        return conn
+
+    monkeypatch.setattr(executor, "connect_readonly", counting_connect)
+    return opened
 
 
 def prompt_fixture(name: str) -> str:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from text2sql import executor
+from text2sql.errors import DatabaseMissingError
 from text2sql.evaluation import (
     EvalRecord,
     build_report,
@@ -58,6 +61,40 @@ def test_gold_order_sensitivity_governs(concert_db):
     assert score_pair(permuted, ordered_gold, concert_db) == "mismatch"
     unordered_gold = "SELECT name FROM singer"
     assert score_pair(permuted, unordered_gold, concert_db) == "match"
+
+
+def test_score_pair_opens_one_connection(concert_db, tmp_path, opened_connections):
+    assert score_pair("SELECT count(singer_id) FROM singer", "SELECT count(*) FROM singer",
+                      concert_db) == "match"
+    assert len(opened_connections) == 1
+    assert score_pair("SELECT * FROM ghost", "SELECT 1", concert_db) == "pred_error"
+    assert score_pair("SELECT 1", "SELECT * FROM ghost", concert_db) == "gold_error"
+    assert len(opened_connections) == 3
+    for conn in opened_connections:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            conn.execute("SELECT 1")
+    # A refused gold query runs nothing, so it opens nothing, even for a
+    # missing database; a runnable one needs the database.
+    missing = tmp_path / "missing.sqlite"
+    assert score_pair("SELECT 1", "DELETE FROM singer", missing) == "gold_error"
+    assert len(opened_connections) == 3
+    with pytest.raises(DatabaseMissingError):
+        score_pair("SELECT 1", "SELECT 1", missing)
+
+
+def test_score_pair_tokenizes_each_query_once(concert_db, monkeypatch):
+    # The gold table's order sensitivity comes from the executor's own scan.
+    scanned = []
+    scan = executor._depth_zero_tokens
+
+    def counting_scan(sql):
+        scanned.append(sql)
+        return scan(sql)
+
+    monkeypatch.setattr(executor, "_depth_zero_tokens", counting_scan)
+    gold = "SELECT name FROM singer ORDER BY age"
+    assert score_pair("SELECT name FROM singer ORDER BY age DESC", gold, concert_db) == "mismatch"
+    assert sorted(scanned) == sorted([gold, "SELECT name FROM singer ORDER BY age DESC"])
 
 
 def test_extract_items_count_star(concert_schema):

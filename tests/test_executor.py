@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from text2sql.errors import DatabaseMissingError
 from text2sql.executor import (
     MAX_RESULT_ROWS,
+    STATUS_SUCCESS,
     STATUS_ERROR,
     STATUS_OVERFLOW,
     STATUS_TIMEOUT,
     TOLERANT_MATCH_MAX_ROWS,
+    ReadOnlyConnection,
     ResultTable,
     cells_equal,
     execute_sql,
@@ -54,6 +56,32 @@ def test_write_statement_refused(concert_db):
 def test_missing_database_is_environment_error(tmp_path):
     with pytest.raises(DatabaseMissingError):
         execute_sql(tmp_path / "nope.sqlite", "SELECT 1")
+
+
+def test_refused_statement_needs_no_database(tmp_path):
+    outcome = execute_sql(tmp_path / "nope.sqlite", "DELETE FROM singer")
+    assert outcome.message == "write statement refused"
+
+
+def test_shared_connection_releases_overflowed_statement(tmp_path):
+    # A statement left mid-fetch would hold its read lock, and the writer's
+    # commit would fail with "database is locked".
+    db = tmp_path / "big.sqlite"
+    writer = sqlite3.connect(db, timeout=0)
+    try:
+        writer.execute("CREATE TABLE t (a)")
+        writer.executemany("INSERT INTO t VALUES (?)", [(i,) for i in range(2 * MAX_RESULT_ROWS)])
+        writer.commit()
+        with ReadOnlyConnection(db) as connection:
+            outcome = execute_sql(db, "SELECT a FROM t", connection=connection)
+            assert outcome.status == STATUS_OVERFLOW
+            writer.execute("DELETE FROM t WHERE a > 0")
+            writer.commit()
+            outcome = execute_sql(db, "SELECT a FROM t", connection=connection)
+            assert outcome.status == STATUS_SUCCESS
+            assert outcome.table.rows == ((0,),)
+    finally:
+        writer.close()
 
 
 def test_timeout_interrupts_runaway_query(concert_db):

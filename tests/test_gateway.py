@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from text2sql import gateway
 from text2sql.errors import (
     AuthenticationError,
     CacheCorruptError,
@@ -167,10 +168,11 @@ def test_cache_entry_carries_request_payload(tmp_path):
 
 
 class _FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload or {}
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self.text and not self._payload:
@@ -214,6 +216,38 @@ def test_live_retries_transient_then_succeeds():
     completion = _live(session).complete(_exchange())
     assert completion.texts == ("text 0",)
     assert len(session.bodies) == 2
+
+
+def _retry(status, retry_after=None):
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    return _FakeResponse(status, text="busy", headers=headers)
+
+
+@pytest.mark.parametrize(
+    "responses, waits",
+    [
+        # The header wins when it asks for longer than the exponential step.
+        ([_retry(429, "3"), _retry(503, "2.5")], [3.0, 2.5]),
+        # The step wins when it is longer, and a 503 without the header waits it.
+        ([_retry(429, "0.5"), _retry(503, "1"), _retry(503)], [1.0, 2.0, 4.0]),
+        # Not a number, an HTTP date, negative or infinite: the step alone.
+        (
+            [_retry(429, "soon"), _retry(503, "Wed, 21 Oct 2015 07:28:00 GMT"),
+             _retry(429, "-5"), _retry(429, "inf")],
+            [1.0, 2.0, 4.0, 8.0],
+        ),
+        # Only 429 and 503 carry a wait the client honours.
+        ([_retry(500, "30"), _retry(502, "30")], [1.0, 2.0]),
+    ],
+    ids=["header-longer", "step-longer", "not-numeric", "other-status"],
+)
+def test_live_honours_numeric_retry_after(monkeypatch, responses, waits):
+    slept = []
+    monkeypatch.setattr(gateway.time, "sleep", slept.append)
+    session = _FakeSession(responses + [_FakeResponse(200, _ok_payload(1))])
+    completion = _live(session, backoff_seconds=1.0).complete(_exchange())
+    assert completion.texts == ("text 0",)
+    assert slept == waits
 
 
 def test_live_auth_failure_is_fatal():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from text2sql import voting
 from text2sql.catalog import LinkedSchema, Question
+from text2sql.errors import DatabaseMissingError
 from text2sql.executor import STATUS_OVERFLOW, STATUS_TIMEOUT, execute_sql, results_equivalent
 from text2sql.gateway import ChatCompletion
 from text2sql.prompts import PromptConfig
@@ -25,6 +27,20 @@ from text2sql.voting import (
 )
 
 from test_acceptance import CONCERT_POOL
+
+# 6^6 = 46656 rows is past the executor's row cap.
+CROSS_JOIN = "SELECT 1 FROM singer a, singer b, singer c, singer d, singer e, singer f"
+RUNAWAY = (
+    "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r) SELECT count(*) FROM r"
+)
+# Runs for many progress-handler periods but well inside any deadline used here.
+BOUNDED_RECURSION = (
+    "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r WHERE i < 20000) "
+    "SELECT count(*) FROM r"
+)
+# The acceptance pool plus an overflow and a multi-statement error, so that
+# the one connection a vote shares is also used after each of those.
+VOTE_POOL = CONCERT_POOL + [CROSS_JOIN, "SELECT 1; DELETE FROM singer"]
 
 
 def test_postprocess_continuation_gets_select_prefix():
@@ -101,9 +117,7 @@ def test_cluster_conservation_with_errors(concert_db):
 
 
 def test_cluster_overflow_has_its_own_reason(concert_db):
-    # 6^6 = 46656 rows is past the executor's row cap.
-    cross = "SELECT 1 FROM singer a, singer b, singer c, singer d, singer e, singer f"
-    sqls = ["SELECT count(*) FROM singer"] * 2 + [cross, "SELECT * FROM ghost"]
+    sqls = ["SELECT count(*) FROM singer"] * 2 + [CROSS_JOIN, "SELECT * FROM ghost"]
     clusters, discarded = cluster_by_execution(_candidates(*sqls), concert_db)
     assert sum(c.size for c in clusters) == 2
     assert discarded == [(2, DISCARD_OVERFLOW), (3, DISCARD_SQL_ERROR)]
@@ -112,9 +126,9 @@ def test_cluster_overflow_has_its_own_reason(concert_db):
 def test_cluster_executes_each_distinct_text_once(concert_db, monkeypatch):
     executed = []
 
-    def counting_execute(db_path, sql, timeout=5.0):
+    def counting_execute(db_path, sql, timeout=5.0, **kwargs):
         executed.append(sql)
-        return execute_sql(db_path, sql, timeout=timeout)
+        return execute_sql(db_path, sql, timeout=timeout, **kwargs)
 
     monkeypatch.setattr(voting, "execute_sql", counting_execute)
     distinct = ["SELECT count(*) FROM singer", "SELECT * FROM ghost", "SELECT max(age) FROM singer"]
@@ -154,12 +168,62 @@ def _cluster_every_candidate(candidates, db_path):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.sampled_from(CONCERT_POOL), min_size=1, max_size=20))
+@given(st.lists(st.sampled_from(VOTE_POOL), min_size=1, max_size=20))
 def test_cluster_matches_executing_every_candidate(concert_db, raws):
     candidates = [postprocess_completion(raw, i) for i, raw in enumerate(raws)]
     assert cluster_by_execution(candidates, concert_db) == _cluster_every_candidate(
         candidates, concert_db
     )
+
+
+def test_cluster_gives_each_statement_its_own_deadline(concert_db):
+    # The runaway query uses up its deadline on the connection the vote
+    # shares; the next text must still run to completion on it.
+    clusters, discarded = cluster_by_execution(
+        _candidates(RUNAWAY, BOUNDED_RECURSION), concert_db, timeout=0.2
+    )
+    assert discarded == [(0, DISCARD_TIMEOUT)]
+    assert [[m.sample_index for m in c.members] for c in clusters] == [[1]]
+    assert clusters[0].result.rows == ((20000,),)
+
+
+def test_cluster_runs_valid_text_after_overflow(concert_db):
+    ordered = "SELECT name FROM singer ORDER BY age"
+    clusters, discarded = cluster_by_execution(_candidates(CROSS_JOIN, ordered), concert_db)
+    assert discarded == [(0, DISCARD_OVERFLOW)]
+    assert [[m.sample_index for m in c.members] for c in clusters] == [[1]]
+    assert clusters[0].result == execute_sql(concert_db, ordered).table
+
+
+def test_cluster_opens_one_connection_per_call(concert_db, opened_connections):
+    sqls = ["SELECT count(*) FROM singer", CROSS_JOIN, "SELECT * FROM ghost", "DELETE FROM singer"]
+    clusters, discarded = cluster_by_execution(_candidates(*sqls * 5), concert_db)
+    assert sum(c.size for c in clusters) == 5 and len(discarded) == 15
+    assert len(opened_connections) == 1
+    cluster_by_execution(_candidates("SELECT max(age) FROM singer"), concert_db)
+    assert len(opened_connections) == 2
+    for conn in opened_connections:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            conn.execute("SELECT 1")
+
+
+def test_cluster_opens_no_connection_when_nothing_runs(concert_db, tmp_path, opened_connections):
+    candidates = _candidates("DELETE FROM singer", "UPDATE singer SET age = 1")
+    candidates.append(SqlCandidate(text="", sample_index=2, raw_completion="???"))
+    missing = tmp_path / "missing.sqlite"
+    for db_path in (concert_db, missing):
+        clusters, discarded = cluster_by_execution(candidates, db_path)
+        assert clusters == []
+        assert [reason for _, reason in discarded] == [
+            DISCARD_SQL_ERROR, DISCARD_SQL_ERROR, DISCARD_UNPARSEABLE
+        ]
+    assert opened_connections == []
+    # A missing database is an environment fault as soon as a statement would run.
+    with pytest.raises(DatabaseMissingError):
+        cluster_by_execution(
+            candidates + [SqlCandidate(text="SELECT 1", sample_index=3, raw_completion="")],
+            missing,
+        )
 
 
 def test_cluster_order_insensitive_rows_group_together(concert_db):
