@@ -3,11 +3,13 @@
 All backends speak the same ``complete(exchange) -> ChatCompletion`` interface.
 Responses are cached (and replayed) as one JSON file per request fingerprint so
 that batch runs are resumable and test runs are fully deterministic offline.
+The live backend posts with ``urllib.request`` (default SSL context, ``*_proxy``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import math
@@ -15,15 +17,18 @@ import os
 import tempfile
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
+from json import dumps as json_dumps  # _UrllibSession.post has a parameter named json
 from pathlib import Path
-
-import requests
 
 from .errors import (
     AuthenticationError,
     CacheCorruptError,
     CacheMissError,
+    ConfigurationError,
     GatewayError,
     RateLimitExhausted,
 )
@@ -31,6 +36,8 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 ROLES = ("system", "user", "assistant")
+REQUEST_TIMEOUT_S = 120.0
+MAX_RETRY_AFTER_S = 60.0  # a longer Retry-After would park a pool worker that long
 
 
 @dataclass(frozen=True)
@@ -181,20 +188,46 @@ class ReplayGateway:
 
 
 def _retry_after_seconds(value: str | None) -> float:
-    """The wait a numeric ``Retry-After`` header asks for, in seconds; 0.0 when
-    the header is missing, negative or not a number (an HTTP date included)."""
+    """The wait a numeric ``Retry-After`` asks for, in seconds, at most ``MAX_RETRY_AFTER_S``;
+    0.0 when the header is missing, negative or not a number (an HTTP date included)."""
     try:
         seconds = float(value)
     except (TypeError, ValueError):
         return 0.0
-    return seconds if math.isfinite(seconds) and seconds > 0 else 0.0
+    return min(seconds, MAX_RETRY_AFTER_S) if math.isfinite(seconds) and seconds > 0 else 0.0
+
+
+@dataclass(frozen=True)
+class _Reply:
+    """The parts of an HTTP response that ``LiveGateway`` reads."""
+
+    status_code: int
+    headers: http.client.HTTPMessage
+    text: str
+
+    def json(self):
+        return json.loads(self.text)
+
+
+class _UrllibSession:
+    """``requests.Session.post`` for a JSON body; a 4xx or 5xx is a reply, not raised."""
+
+    def post(self, url: str, json: dict, headers: dict, timeout: float) -> _Reply:
+        data = json_dumps(json).encode("utf-8")
+        request = urllib.request.Request(url, data, {**headers, "Content-Type": "application/json"})
+        try:
+            response = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:
+            response = exc
+        with response:
+            return _Reply(response.status, response.headers, response.read().decode("utf-8", "replace"))
 
 
 class LiveGateway:
     """HTTP chat-completions client with bounded concurrency and retries.
 
-    The wait before retry k (k >= 1) is ``backoff_seconds * 2 ** (k - 1)``, or
-    a longer numeric ``Retry-After`` sent with a 429 or 503.
+    The wait before retry k (k >= 1) is ``backoff_seconds * 2 ** (k - 1)``, or a
+    longer numeric ``Retry-After`` sent with a 429 or 503, capped at ``MAX_RETRY_AFTER_S``.
     """
 
     RETRYABLE_STATUS = (429, 500, 502, 503, 504)
@@ -207,18 +240,19 @@ class LiveGateway:
         *,
         max_attempts: int = 5,
         backoff_seconds: float = 1.0,
-        request_timeout: float = 120.0,
         max_inflight: int = 4,
-        session: requests.Session | None = None,
+        session=None,  # anything with the call shape of requests.Session.post
     ):
         if not api_key:
             raise AuthenticationError("no API key configured for the live backend")
+        parts = urllib.parse.urlsplit(base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigurationError(f"api_base must be an http(s) URL with a host, got {base_url!r}")
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
-        self.request_timeout = request_timeout
-        self._session = session or requests.Session()
+        self._session = session or _UrllibSession()
         self._inflight = threading.BoundedSemaphore(max_inflight)
 
     def complete(self, exchange: ChatExchange) -> ChatCompletion:
@@ -236,9 +270,9 @@ class LiveGateway:
             try:
                 with self._inflight:
                     response = self._session.post(
-                        url, json=body, headers=headers, timeout=self.request_timeout
+                        url, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S
                     )
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 log.warning("transport failure (attempt %d): %s", attempt + 1, exc)
                 continue
@@ -269,23 +303,25 @@ class LiveGateway:
 
     @staticmethod
     def _parse_response(payload: dict, exchange: ChatExchange) -> ChatCompletion:
-        choices = payload.get("choices") or []
-        texts = tuple(choice.get("message", {}).get("content") or "" for choice in choices)
+        try:
+            choices = payload.get("choices") or []
+            contents = [choice.get("message", {}).get("content") for choice in choices]
+            if not all(isinstance(text, str) for text in contents if text is not None):
+                raise TypeError("message content is not a string")
+            usage = payload.get("usage")
+            token_usage = None
+            if usage:
+                token_usage = TokenUsage(
+                    prompt_tokens=int(usage.get("prompt_tokens", 0)),
+                    completion_tokens=int(usage.get("completion_tokens", 0)),
+                )
+                log.debug("token usage: %s", token_usage)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise GatewayError(f"malformed completion payload: {exc}") from exc
+        texts = tuple(text or "" for text in contents)
         if len(texts) != exchange.n:
             raise GatewayError(
                 f"backend returned {len(texts)} completions for a request with n={exchange.n}"
-            )
-        usage = payload.get("usage")
-        token_usage = None
-        if usage:
-            token_usage = TokenUsage(
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
-            )
-            log.debug(
-                "token usage: prompt=%d completion=%d",
-                token_usage.prompt_tokens,
-                token_usage.completion_tokens,
             )
         return ChatCompletion(texts=texts, usage=token_usage)
 

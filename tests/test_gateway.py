@@ -2,7 +2,13 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import socket
+import subprocess
+import sys
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +17,7 @@ from text2sql.errors import (
     AuthenticationError,
     CacheCorruptError,
     CacheMissError,
+    ConfigurationError,
     GatewayError,
     RateLimitExhausted,
 )
@@ -238,8 +245,10 @@ def _retry(status, retry_after=None):
         ),
         # Only 429 and 503 carry a wait the client honours.
         ([_retry(500, "30"), _retry(502, "30")], [1.0, 2.0]),
+        # A day-long wait would park a pool worker; the header is capped.
+        ([_retry(429, "86400")], [60.0]),
     ],
-    ids=["header-longer", "step-longer", "not-numeric", "other-status"],
+    ids=["header-longer", "step-longer", "not-numeric", "other-status", "header-capped"],
 )
 def test_live_honours_numeric_retry_after(monkeypatch, responses, waits):
     slept = []
@@ -259,6 +268,12 @@ def test_live_auth_failure_is_fatal():
 def test_live_missing_key_rejected_up_front():
     with pytest.raises(AuthenticationError):
         LiveGateway("https://example.test/v1", "")
+
+
+@pytest.mark.parametrize("base_url", ["api.example/v1", "ftp://x/v1", "https:///v1"])
+def test_live_bad_api_base_rejected_up_front(base_url):
+    with pytest.raises(ConfigurationError, match="http"):
+        LiveGateway(base_url, "key")
 
 
 def test_live_rate_limit_exhaustion_surfaces_retryable_error():
@@ -286,6 +301,34 @@ def test_live_non_json_ok_body_is_named_gateway_error(body):
     assert len(session.bodies) == 1
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"choices": ["x"]},
+        {"choices": {"a": 1}},
+        {"choices": [{"message": "x"}]},
+        {"choices": [{"message": {"content": 5}}]},
+        {"choices": [{"message": {"content": ["x"]}}]},
+        {"choices": [{"message": {"content": "x"}}], "usage": [1]},
+        {"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": "lots"}},
+    ],
+    ids=["choice-string", "choices-object", "message-string", "content-int", "content-list",
+         "usage-list", "usage-not-int"],
+)
+def test_live_malformed_ok_payload_is_named_gateway_error(payload):
+    session = _FakeSession([_FakeResponse(200, payload)])
+    with pytest.raises(GatewayError, match="^malformed completion payload: "):
+        _live(session).complete(_exchange())
+    assert len(session.bodies) == 1
+
+
+def test_live_null_content_reads_as_empty_text():
+    payload = {"choices": [{"message": {"content": None}}], "usage": {"completion_tokens": 2}}
+    completion = _live(_FakeSession([_FakeResponse(200, payload)])).complete(_exchange())
+    assert completion.texts == ("",)
+    assert completion.usage.completion_tokens == 2
+
+
 def test_gateway_cannot_mutate_messages():
     exchange = _exchange()
     with pytest.raises(Exception):
@@ -309,3 +352,106 @@ def test_cache_store_threadsafe_writes(tmp_path):
         t.join()
     assert cache.load(fingerprint).texts == ("t",)
     assert cache.fingerprints() == [fingerprint]
+
+
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the next scripted ``(status, headers, body)``."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.headers, json.loads(body)))
+        status, headers, text = self.server.replies.pop(0)
+        data = text.encode("utf-8")
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """A chat-completions server on 127.0.0.1 and a stdlib-session gateway
+    pointed at it."""
+    monkeypatch.setenv("no_proxy", "*")
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _LoopbackHandler)
+    server.replies, server.seen = [], []
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    live = LiveGateway(
+        f"http://127.0.0.1:{server.server_port}/v1", "key", max_attempts=3, backoff_seconds=0.0
+    )
+    yield server, live
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_loopback_success_sends_auth_json_and_n(loopback):
+    server, live = loopback
+    server.replies.append((200, {}, json.dumps(_ok_payload(2))))
+    completion = live.complete(_exchange(n=2))
+    assert completion.texts == ("text 0", "text 1")
+    assert completion.usage.prompt_tokens == 12
+    [(headers, body)] = server.seen
+    assert headers["Authorization"] == "Bearer key"
+    assert headers["Content-Type"] == "application/json"
+    assert body["n"] == 2
+
+
+def test_loopback_429_retry_after_goes_through_http_error(loopback, monkeypatch):
+    slept = []
+    monkeypatch.setattr(gateway.time, "sleep", slept.append)
+    server, live = loopback
+    server.replies += [(429, {"Retry-After": "2"}, "slow down"), (200, {}, json.dumps(_ok_payload(1)))]
+    assert live.complete(_exchange()).texts == ("text 0",)
+    assert slept == [2.0]
+    assert len(server.seen) == 2
+
+
+def test_loopback_401_is_authentication_error(loopback):
+    server, live = loopback
+    server.replies.append((401, {}, "bad key"))
+    with pytest.raises(AuthenticationError, match="HTTP 401"):
+        live.complete(_exchange())
+
+
+def test_loopback_non_json_ok_body_is_named_gateway_error(loopback):
+    server, live = loopback
+    server.replies.append((200, {"Content-Type": "text/html"}, "<html>oops</html>"))
+    with pytest.raises(GatewayError, match="^HTTP 200 with non-JSON body: <html>oops</html>$"):
+        live.complete(_exchange())
+
+
+def test_loopback_closed_port_fails_after_max_attempts(caplog, monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    live = LiveGateway(f"http://127.0.0.1:{port}/v1", "key", max_attempts=3, backoff_seconds=0.0)
+    with caplog.at_level(logging.WARNING, logger="text2sql.gateway"):
+        with pytest.raises(GatewayError, match="after 3 attempts"):
+            live.complete(_exchange())
+    assert caplog.text.count("transport failure") == 3
+
+
+def test_importing_the_cli_loads_no_third_party_http_client():
+    src = Path(gateway.__file__).resolve().parents[1]
+    code = (
+        "import sys, text2sql.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('requests', 'urllib3')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -315,6 +315,26 @@ def test_cli_live_without_key_is_config_error(corpus_dir, tmp_path, monkeypatch,
     assert not (tmp_path / "arts").exists()
 
 
+def test_cli_record_with_schemeless_api_base_is_config_error(
+    corpus_dir, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("TEXT2SQL_API_KEY", "key")
+    monkeypatch.setenv("TEXT2SQL_API_BASE", "api.example/v1")
+    rc = main(
+        [
+            "run",
+            "--tables", str(corpus_dir / "tables.json"),
+            "--questions", str(corpus_dir / "questions.json"),
+            "--backend", "record",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(tmp_path / "arts"),
+        ]
+    )
+    assert rc == 2
+    assert "'api.example/v1'" in capsys.readouterr().err
+    assert not (tmp_path / "arts").exists()
+
+
 def test_cli_dump_prompt_prints_messages(corpus_dir, replay_cache, tmp_path, capsys):
     rc = main(
         [
