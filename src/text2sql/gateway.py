@@ -3,7 +3,7 @@
 All backends speak the same ``complete(exchange) -> ChatCompletion`` interface.
 Responses are cached (and replayed) as one JSON file per request fingerprint so
 that batch runs are resumable and test runs are fully deterministic offline.
-The live backend posts with ``urllib.request`` (default SSL context, ``*_proxy``).
+The live backend posts with ``urllib.request`` and follows no redirect.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import json
 import logging
 import math
 import os
+import ssl
 import tempfile
 import threading
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
@@ -209,15 +209,25 @@ class _Reply:
         return json.loads(self.text)
 
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    def redirect_request(self, *args):  # a 3xx stays a reply: the POST and its key go nowhere else
+        return None
+
+
 class _UrllibSession:
-    """``requests.Session.post`` for a JSON body; a 4xx or 5xx is a reply, not raised."""
+    """``requests.Session.post`` for a JSON body; a 3xx, 4xx or 5xx is a reply, not raised."""
+
+    def __init__(self):
+        # One SSL context for every connection: building one parses the whole CA store.
+        https = urllib.request.HTTPSHandler(context=ssl.create_default_context())
+        self._opener = urllib.request.build_opener(_NoRedirect, https)
 
     def post(self, url: str, json: dict, headers: dict, timeout: float) -> _Reply:
         data = json_dumps(json).encode("utf-8")
         request = urllib.request.Request(url, data, {**headers, "Content-Type": "application/json"})
         try:
-            response = urllib.request.urlopen(request, timeout=timeout)
-        except urllib.error.HTTPError as exc:
+            response = self._opener.open(request, timeout=timeout)
+        except urllib.request.HTTPError as exc:
             response = exc
         with response:
             return _Reply(response.status, response.headers, response.read().decode("utf-8", "replace"))
@@ -245,9 +255,13 @@ class LiveGateway:
     ):
         if not api_key:
             raise AuthenticationError("no API key configured for the live backend")
-        parts = urllib.parse.urlsplit(base_url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ConfigurationError(f"api_base must be an http(s) URL with a host, got {base_url!r}")
+        try:
+            parts = urllib.parse.urlsplit(base_url)
+            valid = parts.scheme in ("http", "https") and bool(parts.hostname) and parts.port != 0
+        except ValueError:  # a malformed IPv6 host, or a port that is not a number up to 65535
+            valid = False
+        if not valid:
+            raise ConfigurationError(f"api_base must look like http(s)://host[:port]/..., got {base_url!r}")
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.max_attempts = max_attempts
@@ -305,8 +319,8 @@ class LiveGateway:
     def _parse_response(payload: dict, exchange: ChatExchange) -> ChatCompletion:
         try:
             choices = payload.get("choices") or []
-            contents = [choice.get("message", {}).get("content") for choice in choices]
-            if not all(isinstance(text, str) for text in contents if text is not None):
+            texts = tuple(choice.get("message", {}).get("content") or "" for choice in choices)
+            if not all(isinstance(text, str) for text in texts):
                 raise TypeError("message content is not a string")
             usage = payload.get("usage")
             token_usage = None
@@ -318,7 +332,6 @@ class LiveGateway:
                 log.debug("token usage: %s", token_usage)
         except (AttributeError, TypeError, ValueError) as exc:
             raise GatewayError(f"malformed completion payload: {exc}") from exc
-        texts = tuple(text or "" for text in contents)
         if len(texts) != exchange.n:
             raise GatewayError(
                 f"backend returned {len(texts)} completions for a request with n={exchange.n}"

@@ -4,9 +4,11 @@ import json
 import logging
 import os
 import socket
+import ssl
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -270,7 +272,9 @@ def test_live_missing_key_rejected_up_front():
         LiveGateway("https://example.test/v1", "")
 
 
-@pytest.mark.parametrize("base_url", ["api.example/v1", "ftp://x/v1", "https:///v1"])
+@pytest.mark.parametrize(
+    "base_url", ["api.example/v1", "ftp://x/v1", "https:///v1", "http://host:abc/v1", "http://[::1/v1"]
+)
 def test_live_bad_api_base_rejected_up_front(base_url):
     with pytest.raises(ConfigurationError, match="http"):
         LiveGateway(base_url, "key")
@@ -373,23 +377,55 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _AnyMethodHandler(BaseHTTPRequestHandler):
+    """Records the method and headers of every request and answers 200."""
+
+    def _record(self):
+        self.server.seen.append((self.command, self.headers))
+        self.send_response(200)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    do_GET = do_POST = do_HEAD = _record
+
+    def log_message(self, format, *args):
+        pass
+
+
+# A self-signed certificate for IP 127.0.0.1 followed by its key, for loopback tests only.
+LOOPBACK_TLS_PEM = Path(__file__).parent / "fixtures" / "loopback_tls.pem"
+
+
+@contextmanager
+def _serving(handler, tls=False):
+    """An HTTP(S) server on 127.0.0.1 with empty ``replies`` and ``seen`` lists."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    if tls:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(LOOPBACK_TLS_PEM)
+        server.socket = context.wrap_socket(server.socket, server_side=True)
+    server.replies, server.seen = [], []
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 @pytest.fixture
 def loopback(monkeypatch):
     """A chat-completions server on 127.0.0.1 and a stdlib-session gateway
     pointed at it."""
     monkeypatch.setenv("no_proxy", "*")
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _LoopbackHandler)
-    server.replies, server.seen = [], []
-    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
-    thread.start()
-    live = LiveGateway(
-        f"http://127.0.0.1:{server.server_port}/v1", "key", max_attempts=3, backoff_seconds=0.0
-    )
-    yield server, live
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    with _serving(_LoopbackHandler) as server:
+        live = LiveGateway(
+            f"http://127.0.0.1:{server.server_port}/v1", "key", max_attempts=3, backoff_seconds=0.0
+        )
+        yield server, live
 
 
 def test_loopback_success_sends_auth_json_and_n(loopback):
@@ -426,6 +462,46 @@ def test_loopback_non_json_ok_body_is_named_gateway_error(loopback):
     server.replies.append((200, {"Content-Type": "text/html"}, "<html>oops</html>"))
     with pytest.raises(GatewayError, match="^HTTP 200 with non-JSON body: <html>oops</html>$"):
         live.complete(_exchange())
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_loopback_redirect_is_not_followed(loopback, status):
+    server, live = loopback
+    with _serving(_AnyMethodHandler) as elsewhere:
+        location = f"http://127.0.0.1:{elsewhere.server_port}/v1/chat/completions"
+        server.replies.append((status, {"Location": location}, "moved"))
+        with pytest.raises(GatewayError, match=f"^HTTP {status}: moved$"):
+            live.complete(_exchange())
+        assert elsewhere.seen == []
+    assert len(server.seen) == 1
+
+
+def test_loopback_https_verifies_and_builds_one_ssl_context(monkeypatch):
+    """The certificate is checked against ``SSL_CERT_FILE``, and every POST
+    reuses the session's context: building one parses the whole CA store."""
+    monkeypatch.setenv("no_proxy", "*")
+    monkeypatch.setenv("SSL_CERT_FILE", str(LOOPBACK_TLS_PEM))
+    built = []
+    for name in ("create_default_context", "_create_default_https_context"):
+        make = getattr(ssl, name)
+        monkeypatch.setattr(ssl, name, lambda *a, make=make, **k: built.append(make) or make(*a, **k))
+    with _serving(_LoopbackHandler, tls=True) as server:
+        live = LiveGateway(f"https://127.0.0.1:{server.server_port}/v1", "key", max_attempts=1)
+        server.replies += [(200, {}, json.dumps(_ok_payload(1)))] * 3
+        for _ in range(3):
+            assert live.complete(_exchange()).texts == ("text 0",)
+    assert len(server.seen) == 3
+    assert len(built) == 1
+
+
+def test_loopback_https_rejects_an_untrusted_certificate(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    with _serving(_LoopbackHandler, tls=True) as server:
+        live = LiveGateway(f"https://127.0.0.1:{server.server_port}/v1", "key", max_attempts=1)
+        with pytest.raises(GatewayError, match="CERTIFICATE_VERIFY_FAILED"):
+            live.complete(_exchange())
+    assert server.seen == []
 
 
 def test_loopback_closed_port_fails_after_max_attempts(caplog, monkeypatch):

@@ -315,11 +315,12 @@ def test_cli_live_without_key_is_config_error(corpus_dir, tmp_path, monkeypatch,
     assert not (tmp_path / "arts").exists()
 
 
-def test_cli_record_with_schemeless_api_base_is_config_error(
-    corpus_dir, tmp_path, monkeypatch, capsys
+@pytest.mark.parametrize("api_base", ["api.example/v1", "http://[::1/v1"])
+def test_cli_record_with_bad_api_base_is_config_error(
+    corpus_dir, tmp_path, monkeypatch, capsys, api_base
 ):
     monkeypatch.setenv("TEXT2SQL_API_KEY", "key")
-    monkeypatch.setenv("TEXT2SQL_API_BASE", "api.example/v1")
+    monkeypatch.setenv("TEXT2SQL_API_BASE", api_base)
     rc = main(
         [
             "run",
@@ -331,7 +332,7 @@ def test_cli_record_with_schemeless_api_base_is_config_error(
         ]
     )
     assert rc == 2
-    assert "'api.example/v1'" in capsys.readouterr().err
+    assert repr(api_base) in capsys.readouterr().err
     assert not (tmp_path / "arts").exists()
 
 
