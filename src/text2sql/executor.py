@@ -4,7 +4,14 @@ Queries run against read-only (``mode=ro``) connections under a per-statement
 deadline that SQLite's progress handler checks inside the connection; results
 are materialized into ResultTable values whose equivalence semantics (numeric
 tolerance, multiset vs sequence comparison) drive both consistency voting and
-execution-accuracy scoring.
+execution-accuracy scoring. Multiset comparison sorts each table once into
+the canonical order ``ResultTable.sorted_rows`` defines: NULL, then numbers
+by value, then text by code point, then blobs by byte, cell by cell. Rows
+sort by native tuple comparison, and by a typed sort key only when that
+comparison meets a column that mixes value classes. The two orders agree except on integers beyond 2**53
+in magnitude, which the key compares as floats; like near-tolerance floats,
+such integers can sort apart from their tolerance-equal partners, which
+changes a verdict only for tables above TOLERANT_MATCH_MAX_ROWS rows.
 
 A connection lives as long as one unit of work: one question's vote, or one
 scored gold/predicted pair, shares a ReadOnlyConnection, and a bare
@@ -58,8 +65,24 @@ class ResultTable:
     @cached_property
     def sorted_rows(self) -> tuple[tuple, ...]:
         """Rows in canonical order, the multiset form results_equivalent
-        compares; sorted at most once per table."""
-        return tuple(sorted(self.rows, key=_row_sort_key))
+        compares; sorted at most once per table.
+
+        The canonical order is ``_row_sort_key``'s: cell by cell, NULL before
+        numbers (by value, int 3 == real 3.0) before text (by code point)
+        before blobs (by byte). Native tuple comparison gives that order
+        whenever it can compare the cells it meets, and it ties only rows
+        that are ``==``, so it runs first. When it meets two cells of
+        different classes in one column (a NULL and a number, text and a
+        number) it raises TypeError, and the table is sorted again by the
+        key. Either way the result is
+        element-wise ``==`` to the keyed sort of any permutation of the rows.
+        The exception is integers beyond 2**53 in magnitude, which the key
+        rounds through float: native order separates values the key ties.
+        """
+        try:
+            return tuple(sorted(self.rows))
+        except TypeError:
+            return tuple(sorted(self.rows, key=_row_sort_key))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from text2sql.executor import (
     TOLERANT_MATCH_MAX_ROWS,
     ReadOnlyConnection,
     ResultTable,
+    _row_sort_key,
     cells_equal,
     execute_sql,
     is_order_sensitive,
@@ -318,3 +319,121 @@ def test_equivalence_relation_properties(triple):
     assert results_equivalent(a, b) == results_equivalent(b, a)
     if results_equivalent(a, b) and results_equivalent(b, c):
         assert results_equivalent(a, c)
+
+
+def _keyed(table: ResultTable) -> ResultTable:
+    """A copy of ``table`` whose canonical order comes from the typed sort key
+    alone: the reference the native-first sort must agree with."""
+    copy = ResultTable(table.column_count, table.rows, table.order_sensitive)
+    copy.__dict__["sorted_rows"] = tuple(sorted(table.rows, key=_row_sort_key))
+    return copy
+
+
+def test_nulls_among_numbers_sort_by_key():
+    rows = ((3, "c"), (None, "n"), (1.5, "b"), (None, "a"), (-2, "z"), (1.5, "a"))
+    with pytest.raises(TypeError):
+        sorted(rows)
+    assert ResultTable(2, rows).sorted_rows == (
+        (None, "a"), (None, "n"), (-2, "z"), (1.5, "a"), (1.5, "b"), (3, "c"),
+    )
+
+
+def test_text_among_numbers_sorts_by_key():
+    rows = (("10",), (9,), (b"\x01",), ("9",), (10.0,), (None,), (b"\x00\xff",))
+    with pytest.raises(TypeError):
+        sorted(rows)
+    assert ResultTable(1, rows).sorted_rows == (
+        (None,), (9,), (10.0,), ("10",), ("9",), (b"\x00\xff",), (b"\x01",),
+    )
+
+
+def test_native_sort_failing_late_falls_back_to_key():
+    # Ascending rows up to a last pair whose second cells mix classes: the
+    # native sort compares every earlier neighbour before it raises.
+    n = 2 * TOLERANT_MATCH_MAX_ROWS
+    rows = tuple((i, i) for i in range(n)) + ((n, 7), (n, None))
+    comparisons = 0
+
+    class CountingRow(tuple):
+        def __lt__(self, other):
+            nonlocal comparisons
+            comparisons += 1
+            return tuple.__lt__(self, other)
+
+    with pytest.raises(TypeError):
+        sorted(map(CountingRow, rows))
+    assert comparisons >= n
+    expected = rows[:n] + ((n, None), (n, 7))
+    assert ResultTable(2, rows).sorted_rows == expected
+    shuffled = list(rows)
+    random.Random(3).shuffle(shuffled)
+    table = ResultTable(2, tuple(shuffled))
+    assert table.sorted_rows == expected
+    assert results_equivalent(table, ResultTable(2, rows))
+
+
+# Integers stay within 2**53 in magnitude, where the key's float conversion
+# is exact; some floats come in near-tolerance pairs (x, x + 5e-7).
+_near = [0.0, 1.0, -2.5, 1e6, 123.456]
+_cell_kinds = {
+    "int": st.one_of(st.integers(-3, 3), st.integers(-(2**53), 2**53)),
+    "float": st.one_of(
+        st.sampled_from(_near + [x + 5e-7 for x in _near]),
+        st.floats(allow_nan=False),
+    ),
+    "text": st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+    "blob": st.binary(max_size=3),
+}
+_cell_kinds["number"] = st.one_of(_cell_kinds["int"], _cell_kinds["float"])
+_cell_kinds["any"] = st.one_of(st.none(), *_cell_kinds.values())
+
+
+def _tweaked(draw, cell, kind):
+    # A cell the comparison may or may not treat as equal: the same value as
+    # another numeric type, a near-tolerance neighbour, or a fresh draw.
+    choice = draw(st.integers(0, 3))
+    if choice == 1 and isinstance(cell, int):
+        return float(cell)
+    if choice == 2 and isinstance(cell, float):
+        return cell + 5e-7
+    if choice == 3:
+        return draw(_cell_kinds[kind])
+    return cell
+
+
+@st.composite
+def _table_pairs(draw):
+    # Column kinds decide whether the native sort can succeed: a single-class
+    # column sorts natively, an "any" column usually mixes classes.
+    kinds = draw(st.lists(st.sampled_from(sorted(_cell_kinds)), min_size=1, max_size=3))
+    width = len(kinds)
+
+    def row():
+        return tuple(draw(_cell_kinds[kind]) for kind in kinds)
+
+    rows = [row() for _ in range(draw(st.integers(0, 6)))]
+    other = [tuple(_tweaked(draw, cell, kind) for cell, kind in zip(r, kinds)) for r in rows]
+    other = draw(st.permutations(other))
+    if draw(st.booleans()):
+        # Pad both sides to just above the tolerant-matching cutoff, on
+        # opposite ends, so the sorted rows alone decide the verdict.
+        padding = [row()] * (TOLERANT_MATCH_MAX_ROWS + 1 - len(rows))
+        rows, other = padding + rows, list(other) + padding
+    order_sensitive = draw(st.booleans())
+    return (
+        ResultTable(width, tuple(rows), order_sensitive=order_sensitive),
+        ResultTable(width, tuple(other), order_sensitive=order_sensitive),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_pairs(), st.integers(0, 2**32))
+def test_native_first_sort_keeps_keyed_verdict(pair, seed):
+    a, b = pair
+    keyed_a, keyed_b = _keyed(a), _keyed(b)
+    assert results_equivalent(a, b) == results_equivalent(keyed_a, keyed_b)
+    for table, keyed in ((a, keyed_a), (b, keyed_b)):
+        permuted = list(table.rows)
+        random.Random(seed).shuffle(permuted)
+        assert table.sorted_rows == keyed.sorted_rows
+        assert ResultTable(table.column_count, tuple(permuted)).sorted_rows == keyed.sorted_rows
