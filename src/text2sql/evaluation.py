@@ -1,4 +1,12 @@
-"""Execution accuracy, recall-ranking AUC, and report rendering."""
+"""Execution accuracy, recall-ranking AUC, and report rendering.
+
+A prediction's EX outcome compares its result table with the gold query's,
+under the gold query's order sensitivity. ``score_pair`` executes both
+queries; ``score_table`` executes only the gold and takes the prediction's
+table from whoever already has it, which is how the generate stage scores a
+vote's winner from the table the vote executed. Both end in one comparison,
+so they agree on every verdict for deterministic queries.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +18,9 @@ from typing import Iterable, Sequence
 
 from .catalog import DatabaseSchema
 from .executor import (
+    ExecutionOutcome,
     ReadOnlyConnection,
+    ResultTable,
     execute_sql,
     results_equivalent,
     with_order_sensitivity,
@@ -55,15 +65,30 @@ def score_pair(
     query flags a dataset/environment problem and still counts against
     accuracy."""
     with ReadOnlyConnection(db_path) as connection:
-        gold_outcome = execute_sql(db_path, gold_sql, timeout=timeout, connection=connection)
-        if not gold_outcome.ok:
+        gold = execute_sql(db_path, gold_sql, timeout=timeout, connection=connection)
+        if not gold.ok:
             return OUTCOME_GOLD_ERROR
-        pred_outcome = execute_sql(db_path, predicted_sql, timeout=timeout, connection=connection)
-    if not pred_outcome.ok:
+        predicted = execute_sql(db_path, predicted_sql, timeout=timeout, connection=connection)
+    return _compare(gold, predicted.table)
+
+
+def score_table(
+    predicted: ResultTable | None, gold_sql: str, db_path: Path | str, timeout: float = 5.0
+) -> str:
+    """Outcome of a prediction whose result table is already known (None
+    when it failed to execute): only the gold query runs, on a connection of
+    its own. Equals ``score_pair`` on the prediction's SQL whenever that SQL
+    returns ``predicted`` again."""
+    return _compare(execute_sql(db_path, gold_sql, timeout=timeout), predicted)
+
+
+def _compare(gold: ExecutionOutcome, predicted: ResultTable | None) -> str:
+    if not gold.ok:
+        return OUTCOME_GOLD_ERROR
+    if predicted is None:
         return OUTCOME_PRED_ERROR
-    gold_table = gold_outcome.table
-    pred_table = with_order_sensitivity(pred_outcome.table, gold_table.order_sensitive)
-    return OUTCOME_MATCH if results_equivalent(gold_table, pred_table) else OUTCOME_MISMATCH
+    predicted = with_order_sensitivity(predicted, gold.table.order_sensitive)
+    return OUTCOME_MATCH if results_equivalent(gold.table, predicted) else OUTCOME_MISMATCH
 
 
 def execution_accuracy(

@@ -190,7 +190,8 @@ def execute_sql(
 ) -> ExecutionOutcome:
     """Run one SELECT against the database, materializing the full result set.
 
-    Engine errors become SqlError outcomes, running past ``timeout`` seconds
+    Engine errors and text SQLite cannot take (a NUL character, a lone
+    surrogate) become SqlError outcomes, running past ``timeout`` seconds
     becomes Timeout, and anything that is not a SELECT/WITH statement is
     refused. A missing database file is an environment fault and raises when a
     statement would run. ``connection``, if given, must be to ``db_path``; the
@@ -239,6 +240,9 @@ def _run_statement(
         if expired:
             return ExecutionOutcome.timeout()
         return ExecutionOutcome.sql_error(str(exc))
+    except UnicodeEncodeError as exc:
+        # SQL holding a lone surrogate has no UTF-8 form for SQLite to read.
+        return ExecutionOutcome.sql_error(str(exc))
     finally:
         # An overflow leaves the statement mid-fetch; finish it before the
         # connection runs the next one.
@@ -246,14 +250,15 @@ def _run_statement(
 
 
 def cells_equal(a, b) -> bool:
-    """Cell equivalence: numbers within 1e-6 absolute tolerance (int 3 == real 3.0),
-    everything else by exact equality with matching type class."""
+    """Cell equivalence: numbers equal or within 1e-6 absolute tolerance (int 3 ==
+    real 3.0, inf == inf, inf != -inf), everything else by exact equality with
+    matching type class."""
     if a is None or b is None:
         return a is None and b is None
     a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
     b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
     if a_num and b_num:
-        return abs(float(a) - float(b)) <= NUMERIC_TOLERANCE
+        return a == b or abs(float(a) - float(b)) <= NUMERIC_TOLERANCE
     if type(a) is not type(b):
         return False
     return a == b

@@ -3,6 +3,14 @@
 Each stage writes one JSON artifact per question (atomically, via rename) and
 skips questions whose artifact already exists, so interrupted live runs resume
 cheaply. Work items run on a pool bounded by max_inflight_requests.
+
+EX is scored where the winner's result table already is: after a question's
+vote, the generate stage runs the gold query once, compares it with the
+winning cluster's table, and records ``gold_sql`` and ``outcome`` in the vote
+trace. The eval stage takes that outcome when the trace's SQL and gold query
+are the ones it is asked to score, and executes both queries otherwise (an
+edited or external predictions file, a changed gold query, a trace written
+before outcomes were recorded).
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from .catalog import DatabaseSchema, FkRelation, LinkedSchema, Question
 from .config import PipelineConfig, api_key_from_env
 from .errors import ConfigurationError, SpiderFormatError, Text2SqlError
 from .evaluation import (
+    OUTCOMES,
     EvalRecord,
     EvalReport,
     build_report,
@@ -24,6 +33,7 @@ from .evaluation import (
     extract_gold_schema_items,
     recall_auc,
     render_report,
+    score_table,
 )
 from .gateway import CacheStore, LiveGateway, RecordingGateway, ReplayGateway, atomic_write_text
 from .linking import RecallScores, link_schema
@@ -249,7 +259,16 @@ def run_generate_stage(
             max_output_tokens=config.max_generation_tokens,
             exec_timeout=config.exec_timeout,
         )
-        return _vote_trace(question, vote)
+        trace = _vote_trace(question, vote)
+        if question.gold_sql is not None:
+            # The winner is the lowest-index member of the first cluster,
+            # which is the member whose execution gave the cluster its table.
+            winner_table = None if vote.fallback_used else vote.clusters[0].result
+            trace["gold_sql"] = question.gold_sql
+            trace["outcome"] = score_table(
+                winner_table, question.gold_sql, schema.sqlite_path, timeout=config.exec_timeout
+            )
+        return trace
 
     summary = _run_stage(
         "generate", catalog, questions, config, out_dir, vote_trace_path, work, force
@@ -263,6 +282,24 @@ def run_generate_stage(
             predictions.append({"question_id": question.question_id, "sql": trace["sql"]})
     _dump_json(out_dir / "predictions.json", predictions)
     return summary
+
+
+def recorded_outcome(out_dir: Path, question: Question, predicted_sql: str) -> str | None:
+    """The EX outcome the generate stage recorded for this prediction and the
+    question's gold query, or None when the vote trace is missing, unreadable,
+    older than recorded outcomes, or about other SQL."""
+    try:
+        trace = json.loads(vote_trace_path(out_dir, question).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    if (
+        not isinstance(trace, dict)
+        or trace.get("sql") != predicted_sql
+        or trace.get("gold_sql") != question.gold_sql
+    ):
+        return None
+    outcome = trace.get("outcome")
+    return outcome if outcome in OUTCOMES else None
 
 
 def load_predictions(path: Path) -> dict[str, str]:
@@ -279,11 +316,13 @@ def run_eval_stage(
 ) -> EvalReport:
     """Score predictions against gold SQL and render report.json / report.txt.
 
-    Questions without a prediction are scored as mismatches; recall AUC is
-    joined in when linking artifacts are present.
+    A prediction takes the outcome its vote trace recorded when there is one
+    (see ``recorded_outcome``); the rest execute both queries. Questions
+    without a prediction are scored as mismatches; recall AUC is joined in
+    when linking artifacts are present.
     """
     records = []
-    unmatched: list[EvalRecord] = []
+    settled: list[EvalRecord] = []
     for question in questions:
         if question.gold_sql is None:
             raise SpiderFormatError(
@@ -295,8 +334,14 @@ def run_eval_stage(
         predicted = predictions.get(question.question_id)
         if predicted is None:
             log.warning("no prediction for question %s; scoring as mismatch", question.question_id)
-            unmatched.append(
-                EvalRecord(question.question_id, "", question.gold_sql, "mismatch", question.difficulty)
+            predicted, outcome = "", "mismatch"
+        else:
+            outcome = recorded_outcome(out_dir, question, predicted)
+        if outcome is not None:
+            settled.append(
+                EvalRecord(
+                    question.question_id, predicted, question.gold_sql, outcome, question.difficulty
+                )
             )
             continue
         records.append(
@@ -312,7 +357,7 @@ def run_eval_stage(
     def score(record):
         return execution_accuracy([record], timeout=config.exec_timeout)[0]
 
-    eval_records = _pool_map(config, score, records) + unmatched
+    eval_records = _pool_map(config, score, records) + settled
 
     per_question = []
     for question in questions:

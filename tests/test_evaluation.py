@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from text2sql import executor
 from text2sql.errors import DatabaseMissingError
+from text2sql.executor import execute_sql
 from text2sql.evaluation import (
     EvalRecord,
     build_report,
@@ -18,6 +19,7 @@ from text2sql.evaluation import (
     recall_auc,
     render_report,
     score_pair,
+    score_table,
 )
 from text2sql.linking import RecallScores
 
@@ -61,6 +63,33 @@ def test_gold_order_sensitivity_governs(concert_db):
     assert score_pair(permuted, ordered_gold, concert_db) == "mismatch"
     unordered_gold = "SELECT name FROM singer"
     assert score_pair(permuted, unordered_gold, concert_db) == "match"
+
+
+SCORED_POOL = [
+    "SELECT count(*) FROM singer",
+    "SELECT count(singer_id) FROM singer",
+    "SELECT name FROM singer ORDER BY age",
+    "SELECT name FROM singer ORDER BY age DESC",
+    "SELECT name FROM singer",
+    "SELECT age FROM singer",
+    "SELECT age + 0.0000001 FROM singer",
+    "SELECT * FROM ghost",
+    "DELETE FROM singer",
+]
+
+
+@pytest.mark.parametrize("gold", SCORED_POOL)
+def test_score_table_agrees_with_score_pair(concert_db, gold, opened_connections):
+    # score_table takes the prediction's table from a run already made; with
+    # a deterministic prediction it must give score_pair's verdict.
+    for predicted in SCORED_POOL:
+        table = execute_sql(concert_db, predicted).table
+        opened = len(opened_connections)
+        verdict = score_table(table, gold, concert_db)
+        # Only the gold query runs, on a connection of its own; a refused
+        # one opens none.
+        assert len(opened_connections) - opened == (0 if gold.startswith("DELETE") else 1)
+        assert verdict == score_pair(predicted, gold, concert_db), (predicted, gold)
 
 
 def test_score_pair_opens_one_connection(concert_db, tmp_path, opened_connections):

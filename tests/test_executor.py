@@ -24,6 +24,7 @@ from text2sql.executor import (
     execute_sql,
     is_order_sensitive,
     results_equivalent,
+    with_order_sensitivity,
 )
 
 
@@ -176,6 +177,40 @@ def test_text_and_number_cells_differ():
     assert not cells_equal("3", 3)
     assert cells_equal(None, None)
     assert not cells_equal(None, 0)
+
+
+def test_infinities_equal_themselves_and_not_each_other(concert_db):
+    # SQLite returns inf for a REAL literal past the double range; inf - inf is
+    # NaN, so equal numbers must be equal before the tolerance test.
+    tables = {}
+    for name, sql in (("inf", "SELECT 1e999"), ("-inf", "SELECT -1e999"),
+                      ("inf, 0.5", "SELECT 1e999 UNION ALL SELECT 0.5"),
+                      ("inf, 0.5 + 5e-7", "SELECT 0.5000005 UNION ALL SELECT 1e999")):
+        outcome = execute_sql(concert_db, sql)
+        assert outcome.ok, sql
+        tables[name] = outcome.table
+    assert tables["inf"].rows == ((float("inf"),),)
+    assert tables["-inf"].rows == ((float("-inf"),),)
+    for order_sensitive in (False, True):
+        inf, neg_inf = (
+            with_order_sensitivity(tables[name], order_sensitive) for name in ("inf", "-inf")
+        )
+        assert results_equivalent(inf, inf)
+        assert results_equivalent(neg_inf, neg_inf)
+        assert not results_equivalent(inf, neg_inf)
+        assert not results_equivalent(neg_inf, inf)
+    # The sorted rows differ within the tolerance, so the cells are compared.
+    assert results_equivalent(tables["inf, 0.5"], tables["inf, 0.5 + 5e-7"])
+    assert not cells_equal(float("inf"), float("-inf"))
+
+
+def test_unencodable_sql_is_sql_error(concert_db):
+    with ReadOnlyConnection(concert_db) as connection:
+        for sql in ("SELECT '\ud800'", "SELECT 1\x00"):
+            outcome = execute_sql(concert_db, sql, connection=connection)
+            assert outcome.status == STATUS_ERROR, sql
+        # The shared connection still serves the next statement.
+        assert execute_sql(concert_db, "SELECT 1", connection=connection).table.rows == ((1,),)
 
 
 def test_near_tolerance_rows_match_across_sort_order():

@@ -13,16 +13,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from text2sql import evaluation
 from text2sql.cli import main
 from text2sql.config import BACKENDS, PipelineConfig, load_config
 from text2sql.errors import ConfigurationError
-from text2sql.gateway import CacheStore, RecordingGateway, ReplayGateway
+from text2sql.evaluation import score_pair
+from text2sql.gateway import CacheStore, ChatCompletion, RecordingGateway, ReplayGateway
 from text2sql.minicorpus import ScriptedModel
 from text2sql.pipeline import (
+    load_predictions,
     make_gateway,
     run_eval_stage,
     run_generate_stage,
     run_link_stage,
+    vote_trace_path,
 )
 from text2sql.prompts import LAYOUT_CLEAR, LAYOUT_COMPLICATED
 
@@ -183,6 +187,111 @@ def test_eval_scores_missing_prediction_as_mismatch(
     assert report.counts["match"] == len(questions) - 1
 
 
+class _FailingGenerationGateway:
+    """Replays the cache, but every generation sample for the named questions
+    is SQL that cannot run, so their votes fall back."""
+
+    def __init__(self, inner, question_texts):
+        self.inner = inner
+        self.prompts = [f"\n### {text}\nSELECT" for text in question_texts]
+
+    def complete(self, exchange):
+        content = exchange.messages[-1].content
+        if any(prompt in content for prompt in self.prompts):
+            return ChatCompletion(texts=("SELECT '\ud800'",) * exchange.n)
+        return self.inner.complete(exchange)
+
+
+def _generate(catalog, questions, config, out, gateway=None):
+    gateway = gateway or make_gateway(config)
+    assert run_link_stage(catalog, questions, gateway, config, out).ok
+    assert run_generate_stage(catalog, questions, gateway, config, out).ok
+
+
+def _trace(out, question):
+    return json.loads(vote_trace_path(out, question).read_text())
+
+
+def test_recorded_outcome_equals_score_pair(catalog, questions, replay_config, tmp_path):
+    # Demo questions as they are, plus: fallback votes with a good and a
+    # failing gold query, a failing gold query under a normal vote, and a
+    # gold query the winner does not match.
+    ghost = "SELECT * FROM ghost"
+    varied = list(questions)
+    varied[1] = dataclasses.replace(varied[1], gold_sql=ghost)
+    varied[2] = dataclasses.replace(varied[2], gold_sql=ghost)
+    varied[3] = dataclasses.replace(varied[3], gold_sql="SELECT 0")
+    gateway = _FailingGenerationGateway(
+        make_gateway(replay_config), [varied[0].text, varied[1].text]
+    )
+    _generate(catalog, varied, replay_config, tmp_path, gateway)
+    outcomes = {}
+    for question in varied:
+        trace = _trace(tmp_path, question)
+        assert trace["gold_sql"] == question.gold_sql
+        db_path = catalog[question.db_id].sqlite_path
+        assert trace["outcome"] == score_pair(trace["sql"], question.gold_sql, db_path)
+        outcomes[question.question_id] = (trace["fallback_used"], trace["outcome"])
+    assert outcomes[varied[0].question_id] == (True, "pred_error")
+    assert outcomes[varied[1].question_id] == (True, "gold_error")
+    assert outcomes[varied[2].question_id] == (False, "gold_error")
+    assert outcomes[varied[3].question_id] == (False, "mismatch")
+    assert all(outcomes[q.question_id] == (False, "match") for q in varied[4:])
+
+
+def test_eval_rescores_what_the_trace_does_not_cover(
+    catalog, questions, replay_config, tmp_path, monkeypatch
+):
+    _generate(catalog, questions, replay_config, tmp_path)
+    predictions = load_predictions(tmp_path / "predictions.json")
+    edited, regolded, old, corrupt = questions[:4]
+    # The trace recorded "match" for each of these; the edited prediction and
+    # the changed gold query are mismatches.
+    predictions[edited.question_id] = "SELECT count(*) FROM stadium"
+    changed = list(questions)
+    changed[1] = dataclasses.replace(regolded, gold_sql="SELECT 0")
+    old_trace = _trace(tmp_path, old)
+    del old_trace["outcome"]
+    vote_trace_path(tmp_path, old).write_text(json.dumps(old_trace))
+    vote_trace_path(tmp_path, corrupt).write_text("{not json")
+
+    scored = []
+    score_pair_ = evaluation.score_pair
+
+    def counting_score_pair(predicted_sql, gold_sql, db_path, timeout=5.0):
+        scored.append((predicted_sql, gold_sql))
+        return score_pair_(predicted_sql, gold_sql, db_path, timeout=timeout)
+
+    monkeypatch.setattr(evaluation, "score_pair", counting_score_pair)
+    report = run_eval_stage(catalog, changed, predictions, replay_config, tmp_path)
+    assert sorted(scored) == sorted(
+        (predictions[q.question_id], q.gold_sql) for q in (edited, changed[1], old, corrupt)
+    )
+    assert report.counts == {"match": len(questions) - 2, "mismatch": 2, "pred_error": 0,
+                             "gold_error": 0}
+
+
+def test_demo_eval_stage_executes_nothing(
+    catalog, questions, replay_config, tmp_path, opened_connections, monkeypatch
+):
+    _generate(catalog, questions, replay_config, tmp_path)
+    executed = []
+    execute = evaluation.execute_sql
+
+    def counting_execute(*args, **kwargs):
+        executed.append(args)
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "execute_sql", counting_execute)
+    opened = len(opened_connections)
+    predictions = load_predictions(tmp_path / "predictions.json")
+    run_eval_stage(catalog, questions, predictions, replay_config, tmp_path)
+    assert len(opened_connections) == opened
+    assert executed == []
+    got = (tmp_path / "report.json").read_text()
+    assert got == (FIXTURES / "expected_report.json").read_text()
+
+
 def _generation_requests(cache_dir):
     store = CacheStore(cache_dir)
     requests = [store.load_request(fp) for fp in store.fingerprints()]
@@ -278,6 +387,29 @@ def test_cli_run_replay_end_to_end(corpus_dir, replay_cache, tmp_path, capsys):
     assert got == (FIXTURES / "expected_report.json").read_text()
     out = capsys.readouterr().out
     assert "overall EX" in out
+
+
+def test_cli_eval_scores_unencodable_prediction_as_pred_error(corpus_dir, questions, tmp_path):
+    # json.dumps writes a lone surrogate as a "\ud800" escape, which loads
+    # back as a str SQLite cannot take.
+    predictions = [{"question_id": q.question_id, "sql": q.gold_sql} for q in questions]
+    predictions[0]["sql"] = "SELECT '\ud800'"
+    path = tmp_path / "external.json"
+    path.write_text(json.dumps(predictions))
+    assert "\\ud800" in path.read_text()
+    rc = main(
+        [
+            "eval",
+            "--tables", str(corpus_dir / "tables.json"),
+            "--questions", str(corpus_dir / "questions.json"),
+            "--predictions", str(path),
+            "--out", str(tmp_path / "arts"),
+        ]
+    )
+    assert rc == 0
+    report = json.loads((tmp_path / "arts" / "report.json").read_text())
+    assert report["counts"]["pred_error"] == 1
+    assert report["counts"]["match"] == len(questions) - 1
 
 
 def test_cli_empty_dataset_succeeds(tmp_path, capsys):

@@ -377,6 +377,20 @@ def test_generate_sql_all_errors_flags_fallback(concert_db, singer_view, questio
     assert len(result.discarded) == 20
 
 
+def test_generate_sql_lone_surrogate_sample_is_discarded(concert_db, singer_view, question):
+    # A JSON "\ud800" escape decodes to a lone surrogate, which SQLite cannot
+    # take; that one sample is a SqlError and the vote goes on without it.
+    texts = ["SELECT '\ud800'"] + [" count(*) FROM singer"] * 12 + ["SELECT max(age) FROM singer"] * 7
+    result = generate_sql(
+        question, singer_view, _FixedGateway(texts), concert_db, PromptConfig(), n_samples=20
+    )
+    assert not result.fallback_used
+    assert result.winner.text == "SELECT count(*) FROM singer"
+    assert result.winner.sample_index == 1
+    assert [c.size for c in result.clusters] == [12, 7]
+    assert result.discarded == [(0, DISCARD_SQL_ERROR)]
+
+
 POOL = [
     "SELECT count(*) FROM singer",                      # A: one row [6]
     "SELECT count(singer_id) FROM singer",              # A again, different text
