@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Any, Iterable, Sequence, Union
 
 from .errors import SpiderFormatError
 
@@ -127,6 +127,17 @@ class Question:
             raise SpiderFormatError(f"unknown difficulty {self.difficulty!r}")
 
 
+def read_json_file(path: Path) -> Any:
+    """The JSON value in an input file; a file that is missing, unreadable or
+    not JSON is a SpiderFormatError naming it."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SpiderFormatError(f"{path}: malformed JSON at byte offset {exc.pos}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:
+        raise SpiderFormatError(f"cannot read {path}: {exc}") from exc
+
+
 def load_spider_tables(path: Path | str) -> list[DatabaseSchema]:
     """Parse a Spider ``tables.json`` file into one schema per descriptor.
 
@@ -135,15 +146,14 @@ def load_spider_tables(path: Path | str) -> list[DatabaseSchema]:
     SQLite files are expected at ``<parent>/database/<db_id>/<db_id>.sqlite``.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SpiderFormatError(f"{path}: malformed JSON at byte offset {exc.pos}: {exc.msg}") from exc
+    raw = read_json_file(path)
     if not isinstance(raw, list):
         raise SpiderFormatError(f"{path}: expected a JSON array of database descriptors")
 
     schemas = []
-    for descriptor in raw:
+    for idx, descriptor in enumerate(raw):
+        if not isinstance(descriptor, dict):
+            raise SpiderFormatError(f"{path}: entry {idx} is not a JSON object")
         schemas.append(_schema_from_descriptor(descriptor, path.parent))
     return schemas
 
@@ -196,15 +206,14 @@ def load_questions(path: Path | str) -> list[Question]:
     comes from the record's ``query`` field when present.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SpiderFormatError(f"{path}: malformed JSON at byte offset {exc.pos}: {exc.msg}") from exc
+    raw = read_json_file(path)
     if not isinstance(raw, list):
         raise SpiderFormatError(f"{path}: expected a JSON array of question records")
 
     questions = []
     for idx, record in enumerate(raw):
+        if not isinstance(record, dict):
+            raise SpiderFormatError(f"{path}: record {idx} is not a JSON object")
         text = record.get("question")
         db_id = record.get("db_id")
         if not text or not db_id:

@@ -3,26 +3,26 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
 
 from .catalog import build_catalog, load_questions, load_spider_tables
-from .config import PipelineConfig, load_config
+from .config import BACKENDS, PipelineConfig, load_config
 from .errors import ConfigurationError, Text2SqlError
 from .evaluation import render_report
 from .pipeline import (
     StageSummary,
+    generation_view,
     load_predictions,
     make_gateway,
-    read_link_artifact,
     run_eval_stage,
     run_generate_stage,
     run_link_stage,
 )
-from .prompts import build_generation_prompt
-
-log = logging.getLogger(__name__)
+from .prompts import LAYOUT_CLEAR, LAYOUT_COMPLICATED
+from .voting import generation_request
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -37,17 +37,20 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="flat key=value config file")
-    parser.add_argument("--backend", choices=("live", "record", "replay"), default=None)
+    parser.add_argument("--backend", choices=BACKENDS, default=None)
     parser.add_argument("--cache-dir", type=Path, default=None)
     parser.add_argument("--model", dest="model_name", default=None)
     parser.add_argument("--n-samples", type=int, default=None)
     parser.add_argument("--recall-samples", type=int, default=None)
     parser.add_argument("--temperature", type=float, default=None)
-    parser.add_argument("--layout", choices=("clear", "complicated"), default=None)
-    parser.add_argument("--no-calibration", action="store_true")
-    parser.add_argument("--no-linking", action="store_true")
-    parser.add_argument("--no-self-consistency", action="store_true")
-    parser.add_argument("--no-foreign-keys", action="store_true")
+    parser.add_argument("--layout", choices=(LAYOUT_CLEAR, LAYOUT_COMPLICATED), default=None)
+    for flag, field in (
+        ("--no-calibration", "use_calibration"),
+        ("--no-linking", "use_linking"),
+        ("--no-self-consistency", "use_self_consistency"),
+        ("--no-foreign-keys", "include_foreign_keys"),
+    ):
+        parser.add_argument(flag, dest=field, action="store_false", default=None)
     parser.add_argument("--force", action="store_true", help="recompute existing artifacts")
 
 
@@ -72,23 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {
-        "backend": args.backend,
-        "cache_dir": args.cache_dir,
-        "model_name": args.model_name,
-        "n_samples": args.n_samples,
-        "recall_samples": args.recall_samples,
-        "temperature": args.temperature,
-        "layout": args.layout,
-    }
-    if args.no_calibration:
-        overrides["use_calibration"] = False
-    if args.no_linking:
-        overrides["use_linking"] = False
-    if args.no_self_consistency:
-        overrides["use_self_consistency"] = False
-    if args.no_foreign_keys:
-        overrides["include_foreign_keys"] = False
+    """Every option whose dest is a config field overrides it unless left at None."""
+    fields = {field.name for field in dataclasses.fields(PipelineConfig)}
+    overrides = {name: value for name, value in vars(args).items() if name in fields}
     return load_config(config_file=args.config, overrides=overrides)
 
 
@@ -123,22 +112,18 @@ def _eval_and_print(
     sys.stdout.write(render_report(report, "text").decode("utf-8"))
 
 
-def cmd_link(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    catalog, questions = _load_dataset(args)
-    gateway = make_gateway(config)
-    return _print_summaries(
-        run_link_stage(catalog, questions, gateway, config, args.out, force=args.force)
-    )
+def _stage_command(stage):
+    """The command that runs one pipeline stage over the dataset."""
 
+    def command(args: argparse.Namespace) -> int:
+        config = config_from_args(args)
+        catalog, questions = _load_dataset(args)
+        gateway = make_gateway(config)
+        return _print_summaries(
+            stage(catalog, questions, gateway, config, args.out, force=args.force)
+        )
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    catalog, questions = _load_dataset(args)
-    gateway = make_gateway(config)
-    return _print_summaries(
-        run_generate_stage(catalog, questions, gateway, config, args.out, force=args.force)
-    )
+    return command
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -170,37 +155,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_dump_prompt(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     catalog, questions = _load_dataset(args)
-    wanted = [q for q in questions if q.question_id == args.question_id]
-    if not wanted:
+    question = next((q for q in questions if q.question_id == args.question_id), None)
+    if question is None:
         raise ConfigurationError(f"no question with id {args.question_id!r}")
-    question = wanted[0]
-    schema = catalog[question.db_id]
-
-    view = schema
-    if config.effective_use_linking:
-        linked = read_link_artifact(args.out, question)
-        if linked is not None:
-            view = linked[0]
-        else:
-            log.warning("no linking artifact for %s; dumping full-schema prompt", args.question_id)
-    exchange = build_generation_prompt(
-        view,
-        question,
-        config.prompt_config(),
-        n=config.effective_n_samples,
-        temperature=config.temperature,
-        model_name=config.model_name,
-        max_output_tokens=config.max_generation_tokens,
-    )
-    for message in exchange.messages:
+    view = generation_view(config, args.out, question, catalog[question.db_id])
+    for message in generation_request(question, view, config).messages:
         print(f"--- {message.role} ---")
         print(message.content)
     return EXIT_OK
 
 
 COMMANDS = {
-    "link": cmd_link,
-    "generate": cmd_generate,
+    "link": _stage_command(run_link_stage),
+    "generate": _stage_command(run_generate_stage),
     "eval": cmd_eval,
     "run": cmd_run,
     "dump-prompt": cmd_dump_prompt,

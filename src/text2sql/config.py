@@ -66,7 +66,6 @@ class PipelineConfig:
     def prompt_config(self) -> PromptConfig:
         return PromptConfig(
             use_calibration=self.use_calibration,
-            use_linking=self.effective_use_linking,
             layout=self.layout,
             include_foreign_keys=self.include_foreign_keys,
         )
@@ -84,8 +83,12 @@ class PipelineConfig:
 
 def parse_config_file(path: Path | str) -> dict[str, str]:
     """Read a flat ``key = value`` file; blank lines and # comments ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

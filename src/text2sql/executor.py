@@ -223,14 +223,9 @@ def _run_statement(
     cursor = conn.cursor()
     try:
         cursor.execute(sql)
-        rows: list[tuple] = []
-        while True:
-            batch = cursor.fetchmany(512)
-            if not batch:
-                break
-            rows.extend(batch)
-            if len(rows) > MAX_RESULT_ROWS:
-                return ExecutionOutcome.overflow()
+        rows = cursor.fetchmany(MAX_RESULT_ROWS + 1)
+        if len(rows) > MAX_RESULT_ROWS:
+            return ExecutionOutcome.overflow()
         column_count = len(cursor.description) if cursor.description else 0
         table = ResultTable(
             column_count=column_count, rows=tuple(rows), order_sensitive=order_sensitive

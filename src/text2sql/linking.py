@@ -61,22 +61,11 @@ class LinkingConfig:
     max_output_tokens: int = 1024
 
 
-def build_table_recall_prompt(
-    schema: DatabaseSchema, question: Question, config: LinkingConfig = LinkingConfig()
+def _recall_exchange(
+    instruction: str, schema_text: str, question: Question, config: LinkingConfig
 ) -> ChatExchange:
-    """Single-user-message exchange asking for a full ranked table list."""
-    schema_lines = "\n".join(
-        format_table_line(name, cols) for name, cols in schema.table_items
-    )
-    content = (
-        f"{TABLE_RECALL_INSTRUCTION}\n"
-        "\n"
-        "Schema:\n"
-        f"{schema_lines}\n"
-        "\n"
-        "Question:\n"
-        f"### {question.text}"
-    )
+    """Single-user-message recall exchange: instruction, schema, question."""
+    content = f"{instruction}\n\nSchema:\n{schema_text}\n\nQuestion:\n### {question.text}"
     return ChatExchange(
         messages=(ChatMessage("user", content),),
         n=config.recall_samples,
@@ -84,6 +73,14 @@ def build_table_recall_prompt(
         model_name=config.model_name,
         max_output_tokens=config.max_output_tokens,
     )
+
+
+def build_table_recall_prompt(
+    schema: DatabaseSchema, question: Question, config: LinkingConfig = LinkingConfig()
+) -> ChatExchange:
+    """Exchange asking for a full ranked table list."""
+    schema_lines = "\n".join(format_table_line(name, cols) for name, cols in schema.table_items)
+    return _recall_exchange(TABLE_RECALL_INSTRUCTION, schema_lines, question, config)
 
 
 def build_column_recall_prompt(
@@ -95,30 +92,13 @@ def build_column_recall_prompt(
     """Exchange asking for ranked columns of the linked tables, with the
     foreign keys among those tables listed under a "Foreign keys:" header."""
     tables = [schema.find_table(name) for name in table_names]
-    schema_lines = "\n".join(
+    schema_text = "\n".join(
         format_table_line(t.name, t.column_names) for t in tables if t is not None
     )
     fks = restrict_foreign_keys(schema.foreign_keys, table_names)
-    fk_block = ""
     if fks:
-        fk_block = "Foreign keys:\n" + "\n".join(format_fk_line(fk) for fk in fks) + "\n"
-    content = (
-        f"{COLUMN_RECALL_INSTRUCTION}\n"
-        "\n"
-        "Schema:\n"
-        f"{schema_lines}\n"
-        f"{fk_block}"
-        "\n"
-        "Question:\n"
-        f"### {question.text}"
-    )
-    return ChatExchange(
-        messages=(ChatMessage("user", content),),
-        n=config.recall_samples,
-        temperature=config.temperature,
-        model_name=config.model_name,
-        max_output_tokens=config.max_output_tokens,
-    )
+        schema_text += "\nForeign keys:\n" + "\n".join(format_fk_line(fk) for fk in fks)
+    return _recall_exchange(COLUMN_RECALL_INSTRUCTION, schema_text, question, config)
 
 
 def restrict_foreign_keys(

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .catalog import DatabaseSchema, FkRelation, LinkedSchema, Question
+from .catalog import DatabaseSchema, FkRelation, LinkedSchema, Question, SchemaView, read_json_file
 from .config import PipelineConfig, api_key_from_env
 from .errors import ConfigurationError, SpiderFormatError, Text2SqlError
 from .evaluation import (
@@ -83,39 +83,37 @@ def _dump_json(path: Path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def linked_schema_to_json(linked: LinkedSchema) -> dict:
-    return {
-        "db_id": linked.db_id,
-        "tables": [[name, list(cols)] for name, cols in linked.tables],
-        "foreign_keys": [
-            [fk.from_table, fk.from_column, fk.to_table, fk.to_column]
-            for fk in linked.foreign_keys
-        ],
-    }
-
-
-def linked_schema_from_json(payload: dict) -> LinkedSchema:
-    return LinkedSchema(
-        db_id=payload["db_id"],
-        tables=tuple((name, tuple(cols)) for name, cols in payload["tables"]),
-        foreign_keys=tuple(FkRelation(*item) for item in payload["foreign_keys"]),
-    )
-
-
-def scores_to_json(scores: RecallScores) -> dict:
+def _link_artifact(question: Question, linked: LinkedSchema, scores: RecallScores) -> dict:
     columns: dict[str, dict[str, float]] = {}
     for (table, column), value in scores.column_scores.items():
         columns.setdefault(table, {})[column] = value
-    return {"tables": dict(scores.table_scores), "columns": columns}
+    fks = [[fk.from_table, fk.from_column, fk.to_table, fk.to_column] for fk in linked.foreign_keys]
+    return {
+        "question_id": question.question_id,
+        "linked": {
+            "db_id": linked.db_id,
+            "tables": [[name, list(cols)] for name, cols in linked.tables],
+            "foreign_keys": fks,
+        },
+        "scores": {"tables": dict(scores.table_scores), "columns": columns},
+    }
 
 
-def scores_from_json(payload: dict) -> RecallScores:
+def _link_from_artifact(payload: dict) -> tuple[LinkedSchema, RecallScores]:
+    linked, scores = payload["linked"], payload["scores"]
     column_scores = {
         (table, column): value
-        for table, per_table in payload["columns"].items()
+        for table, per_table in scores["columns"].items()
         for column, value in per_table.items()
     }
-    return RecallScores(table_scores=dict(payload["tables"]), column_scores=column_scores)
+    return (
+        LinkedSchema(
+            db_id=linked["db_id"],
+            tables=tuple((name, tuple(cols)) for name, cols in linked["tables"]),
+            foreign_keys=tuple(FkRelation(*item) for item in linked["foreign_keys"]),
+        ),
+        RecallScores(table_scores=dict(scores["tables"]), column_scores=column_scores),
+    )
 
 
 _SKIPPED = "skipped"
@@ -178,15 +176,22 @@ def link_artifact_path(out_dir: Path, question: Question) -> Path:
     return out_dir / "link" / f"{question.question_id}.json"
 
 
+def _read_artifact(path: Path, parse):
+    """``parse`` applied to the JSON artifact at ``path``, or None when there is
+    none. An artifact that cannot be read or parsed is a Text2SqlError naming it."""
+    if not path.is_file():
+        return None
+    try:
+        return parse(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, SpiderFormatError) as exc:
+        raise Text2SqlError(f"unreadable artifact {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def read_link_artifact(
     out_dir: Path, question: Question
 ) -> tuple[LinkedSchema, RecallScores] | None:
     """The linked schema and recall scores stored for a question, if any."""
-    path = link_artifact_path(out_dir, question)
-    if not path.is_file():
-        return None
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    return linked_schema_from_json(payload["linked"]), scores_from_json(payload["scores"])
+    return _read_artifact(link_artifact_path(out_dir, question), _link_from_artifact)
 
 
 def run_link_stage(
@@ -201,17 +206,37 @@ def run_link_stage(
 
     def work(question: Question, schema: DatabaseSchema) -> dict:
         linked, scores = link_schema(schema, question, gateway, config.linking_config())
-        return {
-            "question_id": question.question_id,
-            "linked": linked_schema_to_json(linked),
-            "scores": scores_to_json(scores),
-        }
+        return _link_artifact(question, linked, scores)
 
     return _run_stage("link", catalog, questions, config, out_dir, link_artifact_path, work, force)
 
 
+def generation_view(
+    config: PipelineConfig, out_dir: Path, question: Question, schema: DatabaseSchema
+) -> SchemaView:
+    """The schema a question's generation prompt shows: its linked schema when
+    linking is on, which needs the link artifact, else the full schema."""
+    if not config.effective_use_linking:
+        return schema
+    linked = read_link_artifact(out_dir, question)
+    if linked is None:
+        raise Text2SqlError(f"missing linking artifact {link_artifact_path(out_dir, question)}")
+    return linked[0]
+
+
 def vote_trace_path(out_dir: Path, question: Question) -> Path:
     return out_dir / "votes" / f"{question.question_id}.json"
+
+
+def _trace_with_sql(trace: dict) -> dict:
+    if not isinstance(trace["sql"], str):
+        raise TypeError(f"sql is a {type(trace['sql']).__name__}, not a string")
+    return trace
+
+
+def read_vote_trace(out_dir: Path, question: Question) -> dict | None:
+    """The vote trace stored for a question, if any; its ``sql`` is a string."""
+    return _read_artifact(vote_trace_path(out_dir, question), _trace_with_sql)
 
 
 def _vote_trace(question: Question, vote: VoteResult) -> dict:
@@ -236,29 +261,12 @@ def run_generate_stage(
     force: bool = False,
 ) -> StageSummary:
     """Produce one voted prediction per question plus a vote-trace artifact,
-    then assemble predictions.json in dataset order."""
+    then assemble predictions.json in dataset order. An existing trace that
+    cannot be read is that question's failure and has no prediction."""
 
     def work(question: Question, schema: DatabaseSchema) -> dict:
-        view = schema
-        if config.effective_use_linking:
-            linked = read_link_artifact(out_dir, question)
-            if linked is None:
-                raise Text2SqlError(
-                    f"missing linking artifact {link_artifact_path(out_dir, question)}"
-                )
-            view = linked[0]
-        vote = generate_sql(
-            question,
-            view,
-            gateway,
-            schema.sqlite_path,
-            config.prompt_config(),
-            n_samples=config.effective_n_samples,
-            temperature=config.temperature,
-            model_name=config.model_name,
-            max_output_tokens=config.max_generation_tokens,
-            exec_timeout=config.exec_timeout,
-        )
+        view = generation_view(config, out_dir, question, schema)
+        vote = generate_sql(question, view, gateway, schema.sqlite_path, config)
         trace = _vote_trace(question, vote)
         if question.gold_sql is not None:
             # The winner is the lowest-index member of the first cluster,
@@ -276,9 +284,12 @@ def run_generate_stage(
 
     predictions = []
     for question in questions:
-        path = vote_trace_path(out_dir, question)
-        if path.is_file():
-            trace = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            trace = read_vote_trace(out_dir, question)
+        except Text2SqlError as exc:
+            summary.failures.append((question.question_id, str(exc)))
+            continue
+        if trace is not None:
             predictions.append({"question_id": question.question_id, "sql": trace["sql"]})
     _dump_json(out_dir / "predictions.json", predictions)
     return summary
@@ -289,22 +300,28 @@ def recorded_outcome(out_dir: Path, question: Question, predicted_sql: str) -> s
     question's gold query, or None when the vote trace is missing, unreadable,
     older than recorded outcomes, or about other SQL."""
     try:
-        trace = json.loads(vote_trace_path(out_dir, question).read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+        trace = read_vote_trace(out_dir, question)
+    except Text2SqlError:
         return None
-    if (
-        not isinstance(trace, dict)
-        or trace.get("sql") != predicted_sql
-        or trace.get("gold_sql") != question.gold_sql
-    ):
+    if trace is None or trace["sql"] != predicted_sql or trace.get("gold_sql") != question.gold_sql:
         return None
     outcome = trace.get("outcome")
     return outcome if outcome in OUTCOMES else None
 
 
 def load_predictions(path: Path) -> dict[str, str]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {str(item["question_id"]): item["sql"] for item in payload}
+    """question_id -> SQL from a JSON array of ``{"question_id", "sql"}``
+    objects; any other shape is a SpiderFormatError naming the file and entry."""
+    payload = read_json_file(Path(path))
+    if not isinstance(payload, list):
+        raise SpiderFormatError(f"{path}: expected a JSON array of predictions")
+    predictions = {}
+    for idx, item in enumerate(payload):
+        sql = item.get("sql") if isinstance(item, dict) else None
+        if not isinstance(sql, str) or "question_id" not in item:
+            raise SpiderFormatError(f"{path}: entry {idx} needs a question_id and a string sql")
+        predictions[str(item["question_id"])] = sql
+    return predictions
 
 
 def run_eval_stage(

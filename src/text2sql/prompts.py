@@ -59,22 +59,20 @@ TIP_TWO_ACK = (
 
 # Rough sizing guard only; generation prompts are expected to stay near 1k tokens.
 CHARS_PER_TOKEN = 4
-DEFAULT_TOKEN_BUDGET = 1800
+TOKEN_BUDGET = 1800
 
 
 @dataclass(frozen=True)
 class PromptConfig:
+    """The switches that change a generation prompt; the caller picks the schema view."""
+
     use_calibration: bool = True
-    use_linking: bool = True
     layout: str = LAYOUT_CLEAR
     include_foreign_keys: bool = True
-    token_budget: int = DEFAULT_TOKEN_BUDGET
 
     def __post_init__(self) -> None:
         if self.layout not in (LAYOUT_CLEAR, LAYOUT_COMPLICATED):
             raise ValueError(f"unknown layout {self.layout!r}")
-        if self.layout == LAYOUT_COMPLICATED and self.use_linking:
-            raise ValueError("complicated layout requires use_linking=False")
 
 
 def calibration_history() -> list[ChatMessage]:
@@ -136,12 +134,12 @@ def build_generation_prompt(
     messages.append(ChatMessage("user", content))
 
     estimated = sum(len(m.content) for m in messages) // CHARS_PER_TOKEN
-    if estimated > config.token_budget:
+    if estimated > TOKEN_BUDGET:
         log.warning(
             "prompt for question %s estimated at %d tokens (budget %d)",
             question.question_id,
             estimated,
-            config.token_budget,
+            TOKEN_BUDGET,
         )
     return ChatExchange(
         messages=tuple(messages),

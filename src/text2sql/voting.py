@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import Question, SchemaView
+from .config import PipelineConfig
 from .executor import (
     STATUS_OVERFLOW,
     STATUS_TIMEOUT,
@@ -22,7 +23,7 @@ from .executor import (
     results_equivalent,
 )
 from .gateway import ChatExchange
-from .prompts import PromptConfig, build_generation_prompt
+from .prompts import build_generation_prompt
 
 DISCARD_SQL_ERROR = "SqlError"
 DISCARD_TIMEOUT = "Timeout"
@@ -174,37 +175,36 @@ def select_final(
     return VoteResult(winner=winner, clusters=clusters, discarded=discarded)
 
 
+def generation_request(
+    question: Question, view: SchemaView, config: PipelineConfig
+) -> ChatExchange:
+    """The SQL-generation request for one question over the given schema view:
+    what ``generate_sql`` sends and ``text2sql dump-prompt`` prints."""
+    return build_generation_prompt(
+        view,
+        question,
+        config.prompt_config(),
+        n=config.effective_n_samples,
+        temperature=config.temperature,
+        model_name=config.model_name,
+        max_output_tokens=config.max_generation_tokens,
+    )
+
+
 def generate_sql(
-    question: Question,
-    view: SchemaView,
-    gateway,
-    db_path: Path | str,
-    prompt_config: PromptConfig,
-    *,
-    n_samples: int = 20,
-    temperature: float = 1.0,
-    model_name: str = "gpt-3.5-turbo-0301",
-    max_output_tokens: int = 512,
-    exec_timeout: float = 5.0,
+    question: Question, view: SchemaView, gateway, db_path: Path | str, config: PipelineConfig
 ) -> VoteResult:
-    """Sample n completions for one question and vote by execution result.
+    """Send the question's ``generation_request`` over ``view`` (the linked
+    schema, or the full one without linking) and vote on the samples by their
+    results on ``db_path``, each statement under ``config.exec_timeout``.
 
     A single sample goes through the same vote, so a lone failing sample is
     discarded and returned as the flagged fallback.
     """
-    exchange: ChatExchange = build_generation_prompt(
-        view,
-        question,
-        prompt_config,
-        n=n_samples,
-        temperature=temperature,
-        model_name=model_name,
-        max_output_tokens=max_output_tokens,
-    )
-    completion = gateway.complete(exchange)
+    completion = gateway.complete(generation_request(question, view, config))
     candidates = [
         postprocess_completion(text, index) for index, text in enumerate(completion.texts)
     ]
 
-    clusters, discarded = cluster_by_execution(candidates, db_path, timeout=exec_timeout)
+    clusters, discarded = cluster_by_execution(candidates, db_path, timeout=config.exec_timeout)
     return select_final(clusters, discarded, fallback=candidates[0])

@@ -19,7 +19,7 @@ from text2sql.config import BACKENDS, PipelineConfig, load_config
 from text2sql.errors import ConfigurationError
 from text2sql.evaluation import score_pair
 from text2sql.gateway import CacheStore, ChatCompletion, RecordingGateway, ReplayGateway
-from text2sql.minicorpus import ScriptedModel
+from text2sql.minicorpus import ScriptedModel, seed_replay_cache
 from text2sql.pipeline import (
     load_predictions,
     make_gateway,
@@ -538,3 +538,154 @@ def test_cli_run_survives_corrupt_cache_entry(
     report = json.loads((tmp_path / "arts" / "report.json").read_text())
     assert report["total"] == len(questions)
     assert report["counts"]["mismatch"] == 1
+
+
+def _cli_args(corpus_dir, cache_dir, out_dir, tables=None, questions=None):
+    return [
+        "--tables", str(tables or corpus_dir / "tables.json"),
+        "--questions", str(questions or corpus_dir / "questions.json"),
+        "--backend", "replay",
+        "--cache-dir", str(cache_dir),
+        "--out", str(out_dir),
+    ]
+
+
+def _fault_line(capsys, rc, expected_rc, prefix="error: "):
+    """The one stderr line a refused command prints, checked to be its only output."""
+    err = capsys.readouterr().err
+    assert rc == expected_rc, err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith(prefix), err
+    return err
+
+
+def _render(messages):
+    return "".join(f"--- {m['role']} ---\n{m['content']}\n" for m in messages)
+
+
+@pytest.mark.parametrize(
+    "flags, config_kwargs",
+    [
+        ([], {}),
+        (["--no-linking"], {"use_linking": False}),
+        (["--layout", "complicated"], {"layout": LAYOUT_COMPLICATED}),
+    ],
+)
+def test_cli_dump_prompt_prints_the_request_generate_sends(
+    corpus_dir, questions, tmp_path, capsys, flags, config_kwargs
+):
+    cache_dir = tmp_path / "cache"
+    config = PipelineConfig(backend="record", cache_dir=cache_dir, **config_kwargs)
+    assert all(summary.ok for summary in seed_replay_cache(corpus_dir, cache_dir, config))
+    args = _cli_args(corpus_dir, cache_dir, tmp_path / "arts") + flags
+    # `run` links only when linking is in effect, as a user would.
+    assert main(["run", *args]) == 0
+    assert (tmp_path / "arts" / "link").is_dir() == config.effective_use_linking
+    question = questions[0]
+    capsys.readouterr()
+    assert main(["dump-prompt", *args, "--question-id", question.question_id]) == 0
+    dumped = capsys.readouterr().out
+    sent = [
+        _render(request["messages"])
+        for request in _generation_requests(cache_dir)
+        if question.text in request["messages"][-1]["content"]
+    ]
+    assert sent == [dumped]
+
+
+def test_cli_dump_prompt_refuses_missing_link_artifact(corpus_dir, replay_cache, tmp_path, capsys):
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts")
+    rc = main(["dump-prompt", *args, "--question-id", "0"])
+    err = _fault_line(capsys, rc, 1)
+    assert str(tmp_path / "arts" / "link" / "0.json") in err
+    assert "missing linking artifact" in err
+
+
+@pytest.mark.parametrize("absent", ["tables", "questions"])
+def test_cli_missing_dataset_file_is_named_error(
+    corpus_dir, replay_cache, tmp_path, capsys, absent
+):
+    missing = tmp_path / f"absent_{absent}.json"
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts", **{absent: missing})
+    err = _fault_line(capsys, main(["run", *args]), 1)
+    assert str(missing) in err
+
+
+def test_cli_missing_config_file_is_config_error(corpus_dir, replay_cache, tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts") + ["--config", str(missing)]
+    err = _fault_line(capsys, main(["run", *args]), 2, prefix="configuration error: ")
+    assert str(missing) in err
+
+
+@pytest.mark.parametrize("which, entry", [("tables", "entry 0"), ("questions", "record 0")])
+def test_cli_non_object_dataset_entry_is_named_error(
+    corpus_dir, replay_cache, tmp_path, capsys, which, entry
+):
+    bad = tmp_path / f"{which}.json"
+    bad.write_text("[1]")
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts", **{which: bad})
+    err = _fault_line(capsys, main(["run", *args]), 1)
+    assert f"{bad}: {entry}" in err
+
+
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        ('{"a": 1}', "expected a JSON array"),
+        ('[{"question_id": "0"}]', "entry 0"),
+        ('[{"question_id": "0", "sql": 5}]', "entry 0"),
+        ("not json", "malformed JSON"),
+    ],
+)
+def test_cli_eval_malformed_predictions_is_named_error(
+    corpus_dir, replay_cache, tmp_path, capsys, content, named
+):
+    path = tmp_path / "predictions.json"
+    path.write_text(content)
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts") + ["--predictions", str(path)]
+    err = _fault_line(capsys, main(["eval", *args]), 1)
+    assert f"{path}: {named}" in err
+
+
+def test_cli_eval_scores_questions_absent_from_predictions_as_mismatches(
+    corpus_dir, replay_cache, questions, tmp_path
+):
+    path = tmp_path / "predictions.json"
+    first = questions[0]
+    path.write_text(json.dumps([{"question_id": first.question_id, "sql": first.gold_sql}]))
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts") + ["--predictions", str(path)]
+    assert main(["eval", *args]) == 0
+    report = json.loads((tmp_path / "arts" / "report.json").read_text())
+    assert report["counts"]["match"] == 1
+    assert report["counts"]["mismatch"] == len(questions) - 1
+
+
+def test_cli_corrupt_link_artifact_is_named_error(corpus_dir, replay_cache, tmp_path, capsys):
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts")
+    assert main(["run", *args]) == 0
+    corrupt = tmp_path / "arts" / "link" / "0.json"
+    corrupt.write_text("{not json")
+    capsys.readouterr()
+    assert str(corrupt) in _fault_line(capsys, main(["eval", *args]), 1)
+    rc = main(["dump-prompt", *args, "--question-id", "0"])
+    assert str(corrupt) in _fault_line(capsys, rc, 1)
+
+
+def test_cli_generate_lists_unreadable_vote_trace_as_failure(
+    corpus_dir, replay_cache, questions, tmp_path, capsys
+):
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts")
+    assert main(["run", *args]) == 0
+    broken = questions[0]
+    corrupt = vote_trace_path(tmp_path / "arts", broken)
+    corrupt.write_text("{not json")
+    capsys.readouterr()
+    assert main(["generate", *args]) == 1
+    captured = capsys.readouterr()
+    assert "failed=1" in captured.out
+    assert f"question {broken.question_id}: unreadable artifact {corrupt}" in captured.err
+    assert "Traceback" not in captured.err
+    predicted = load_predictions(tmp_path / "arts" / "predictions.json")
+    assert broken.question_id not in predicted
+    assert len(predicted) == len(questions) - 1

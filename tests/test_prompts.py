@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from text2sql.catalog import FkRelation, LinkedSchema, Question
+from text2sql import prompts
 from text2sql.prompts import (
     PromptConfig,
     build_generation_prompt,
@@ -90,7 +91,7 @@ def test_toggling_calibration_keeps_final_message(c3_linked_view, count_question
 
 
 def test_complicated_layout_substitutes_whole_block(concert_schema, count_question):
-    config = PromptConfig(use_linking=False, layout="complicated")
+    config = PromptConfig(layout="complicated")
     exchange = build_generation_prompt(concert_schema, count_question, config)
     assert exchange.messages[-1].content == prompt_fixture(
         "complicated_layout_concert_singer.txt"
@@ -102,11 +103,6 @@ def test_foreign_key_lines_can_be_suppressed(c3_linked_view, count_question):
     content = build_generation_prompt(c3_linked_view, count_question, config).messages[-1].content
     assert "concert.stadium_id = stadium.stadium_id" not in content
     assert "# singer ( singer_id, name, country, age )" in content
-
-
-def test_complicated_layout_forbids_linking():
-    with pytest.raises(ValueError):
-        PromptConfig(use_linking=True, layout="complicated")
 
 
 def test_sampling_parameters_pass_through(c3_linked_view, count_question):
@@ -123,10 +119,10 @@ def test_sampling_parameters_pass_through(c3_linked_view, count_question):
     assert exchange.max_output_tokens == 256
 
 
-def test_token_budget_warning(c3_linked_view, count_question, caplog):
-    config = PromptConfig(token_budget=10)
+def test_token_budget_warning(c3_linked_view, count_question, caplog, monkeypatch):
+    monkeypatch.setattr(prompts, "TOKEN_BUDGET", 10)
     with caplog.at_level(logging.WARNING):
-        build_generation_prompt(c3_linked_view, count_question, config)
+        build_generation_prompt(c3_linked_view, count_question, PromptConfig())
     assert any("budget" in record.message for record in caplog.records)
 
 

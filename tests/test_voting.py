@@ -12,7 +12,7 @@ from text2sql.catalog import LinkedSchema, Question
 from text2sql.errors import DatabaseMissingError
 from text2sql.executor import STATUS_OVERFLOW, STATUS_TIMEOUT, execute_sql, results_equivalent
 from text2sql.gateway import ChatCompletion
-from text2sql.prompts import PromptConfig
+from text2sql.config import PipelineConfig
 from text2sql.voting import (
     DISCARD_OVERFLOW,
     DISCARD_SQL_ERROR,
@@ -326,12 +326,7 @@ def test_generate_sql_majority_of_fourteen(concert_db, singer_view, question):
         + ["SELECT * FROM ghost"] * 2
     )
     result = generate_sql(
-        question,
-        singer_view,
-        _FixedGateway(texts),
-        concert_db,
-        PromptConfig(),
-        n_samples=20,
+        question, singer_view, _FixedGateway(texts), concert_db, PipelineConfig(n_samples=20)
     )
     assert result.winner.text == "SELECT count(*) FROM singer"
     assert result.clusters[0].size == 14
@@ -345,8 +340,7 @@ def test_generate_sql_single_sample_votes_alone(concert_db, singer_view, questio
         singer_view,
         _FixedGateway(["SELECT count(*) FROM singer"]),
         concert_db,
-        PromptConfig(),
-        n_samples=1,
+        PipelineConfig(n_samples=1),
     )
     assert result.winner.text == "SELECT count(*) FROM singer"
     assert len(result.clusters) == 1
@@ -358,8 +352,7 @@ def test_generate_sql_single_sample_votes_alone(concert_db, singer_view, questio
         singer_view,
         _FixedGateway(["SELECT * FROM ghost"]),
         concert_db,
-        PromptConfig(),
-        n_samples=1,
+        PipelineConfig(n_samples=1),
     )
     assert failing.winner.text == "SELECT * FROM ghost"
     assert failing.fallback_used
@@ -370,7 +363,7 @@ def test_generate_sql_single_sample_votes_alone(concert_db, singer_view, questio
 def test_generate_sql_all_errors_flags_fallback(concert_db, singer_view, question):
     texts = ["SELECT * FROM ghost"] * 20
     result = generate_sql(
-        question, singer_view, _FixedGateway(texts), concert_db, PromptConfig(), n_samples=20
+        question, singer_view, _FixedGateway(texts), concert_db, PipelineConfig(n_samples=20)
     )
     assert result.fallback_used
     assert result.winner.sample_index == 0
@@ -382,7 +375,7 @@ def test_generate_sql_lone_surrogate_sample_is_discarded(concert_db, singer_view
     # take; that one sample is a SqlError and the vote goes on without it.
     texts = ["SELECT '\ud800'"] + [" count(*) FROM singer"] * 12 + ["SELECT max(age) FROM singer"] * 7
     result = generate_sql(
-        question, singer_view, _FixedGateway(texts), concert_db, PromptConfig(), n_samples=20
+        question, singer_view, _FixedGateway(texts), concert_db, PipelineConfig(n_samples=20)
     )
     assert not result.fallback_used
     assert result.winner.text == "SELECT count(*) FROM singer"
