@@ -154,14 +154,16 @@ def load_spider_tables(path: Path | str) -> list[DatabaseSchema]:
     for idx, descriptor in enumerate(raw):
         if not isinstance(descriptor, dict):
             raise SpiderFormatError(f"{path}: entry {idx} is not a JSON object")
-        schemas.append(_schema_from_descriptor(descriptor, path.parent))
+        schemas.append(_schema_from_descriptor(descriptor, path))
     return schemas
 
 
-def _schema_from_descriptor(descriptor: dict, root: Path) -> DatabaseSchema:
+def _schema_from_descriptor(descriptor: dict, path: Path) -> DatabaseSchema:
+    """One database from its ``tables.json`` descriptor; an entry of the wrong
+    shape is a SpiderFormatError naming ``path``, the db_id and the entry."""
     db_id = descriptor.get("db_id")
     if not db_id:
-        raise SpiderFormatError("database descriptor without db_id")
+        raise SpiderFormatError(f"{path}: database descriptor without db_id")
     table_names = descriptor.get("table_names_original") or descriptor.get("table_names") or []
     column_pairs = descriptor.get("column_names_original") or descriptor.get("column_names") or []
     column_types = descriptor.get("column_types") or [""] * len(column_pairs)
@@ -169,7 +171,17 @@ def _schema_from_descriptor(descriptor: dict, root: Path) -> DatabaseSchema:
     columns_per_table: dict[int, list[Column]] = {i: [] for i in range(len(table_names))}
     # Global column index -> (table index, name); index 0 is usually the "*" sentinel.
     column_ref: dict[int, tuple[int, str]] = {}
-    for idx, (table_idx, col_name) in enumerate(column_pairs):
+    for idx, pair in enumerate(column_pairs):
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and type(pair[0]) is int
+            and isinstance(pair[1], str)
+        ):
+            raise SpiderFormatError(
+                f"{path}: {db_id}: column entry {idx} is not a [table index, name] pair: {pair!r}"
+            )
+        table_idx, col_name = pair
         column_ref[idx] = (table_idx, col_name)
         if table_idx < 0 or col_name == "*":
             continue
@@ -182,12 +194,18 @@ def _schema_from_descriptor(descriptor: dict, root: Path) -> DatabaseSchema:
     )
 
     fks = []
-    for pair in descriptor.get("foreign_keys") or []:
+    for entry, pair in enumerate(descriptor.get("foreign_keys") or []):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise SpiderFormatError(
+                f"{path}: {db_id}: foreign key entry {entry} is not a"
+                f" [column index, column index] pair: {pair!r}"
+            )
         from_idx, to_idx = pair
         for idx in (from_idx, to_idx):
             if idx not in column_ref or not 0 <= column_ref[idx][0] < len(table_names):
                 raise SpiderFormatError(
-                    f"{db_id}: foreign key references dangling column index {idx}"
+                    f"{path}: {db_id}: foreign key entry {entry} references"
+                    f" dangling column index {idx}"
                 )
         from_tbl, from_col = column_ref[from_idx]
         to_tbl, to_col = column_ref[to_idx]
@@ -195,7 +213,7 @@ def _schema_from_descriptor(descriptor: dict, root: Path) -> DatabaseSchema:
             FkRelation(table_names[from_tbl], from_col, table_names[to_tbl], to_col)
         )
 
-    sqlite_path = root / "database" / db_id / f"{db_id}.sqlite"
+    sqlite_path = path.parent / "database" / db_id / f"{db_id}.sqlite"
     return DatabaseSchema(db_id, tables, tuple(fks), sqlite_path)
 
 

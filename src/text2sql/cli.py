@@ -107,7 +107,7 @@ def _print_summaries(*summaries: StageSummary) -> int:
 def _eval_and_print(
     catalog, questions, config: PipelineConfig, out_dir: Path, predictions_path: Path
 ) -> None:
-    predictions = load_predictions(predictions_path) if predictions_path.is_file() else {}
+    predictions = load_predictions(predictions_path)
     report = run_eval_stage(catalog, questions, predictions, config, out_dir)
     sys.stdout.write(render_report(report, "text").decode("utf-8"))
 

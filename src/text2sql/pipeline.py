@@ -2,7 +2,11 @@
 
 Each stage writes one JSON artifact per question (atomically, via rename) and
 skips questions whose artifact already exists, so interrupted live runs resume
-cheaply. Work items run on a pool bounded by max_inflight_requests.
+cheaply. A question holds one of max_inflight_requests work slots while it
+works, and hands it back while its model call is out, so another question can
+vote while it waits. The live and record backends run twice that many workers,
+one set waiting on POSTs (which ``LiveGateway`` bounds by the same number) and
+one voting; replay runs one worker per slot, as its calls wait on nothing.
 
 EX is scored where the winner's result table already is: after a question's
 vote, the generate stage runs the gold query once, compares it with the
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -120,29 +125,56 @@ _SKIPPED = "skipped"
 _PROCESSED = "processed"
 
 
-def _pool_map(config: PipelineConfig, fn, items) -> list:
-    """Apply fn to every item on a pool of max_inflight_requests threads;
-    results come back in input order."""
-    with ThreadPoolExecutor(max_workers=config.max_inflight_requests) as pool:
+def _pool_map(workers: int, fn, items) -> list:
+    """Apply fn to every item on a pool of ``workers`` threads; results come
+    back in input order."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+class _SlotReleasingGateway:
+    """The stage's gateway as a question sees it: the question's work slot is
+    given back while a completion is out and taken again before it goes on."""
+
+    def __init__(self, gateway, slots: threading.BoundedSemaphore):
+        self._gateway = gateway
+        self._slots = slots
+
+    def complete(self, exchange):
+        self._slots.release()
+        try:
+            return self._gateway.complete(exchange)
+        finally:
+            self._slots.acquire()
 
 
 def _run_stage(
     name: str,
     catalog: dict[str, DatabaseSchema],
     questions: list[Question],
+    gateway,
     config: PipelineConfig,
     out_dir: Path,
     artifact_path,
     work,
     force: bool,
 ) -> StageSummary:
-    """Write ``work(question, schema)`` as JSON to ``artifact_path(out_dir,
-    question)`` for every question, skipping existing artifacts unless forced.
+    """Write ``work(question, schema, gateway)`` as JSON to
+    ``artifact_path(out_dir, question)`` for every question, skipping existing
+    artifacts unless forced.
 
-    An exception from one question's work becomes a named failure in the
-    summary instead of aborting the batch.
+    A question works while it holds one of ``max_inflight_requests`` slots, so
+    at most that many run SQLite at once; the gateway ``work`` receives frees
+    the slot for the length of each completion. An exception from one
+    question's work becomes a named failure in the summary instead of aborting
+    the batch.
     """
+    slots = threading.BoundedSemaphore(config.max_inflight_requests)
+    slot_gateway = _SlotReleasingGateway(gateway, slots)
+    # While a question waits on its POST another can hold its slot, so the
+    # network backends need a worker for each. A replay completion is a cache
+    # read that waits on nothing; extra workers would only contend for the GIL.
+    workers = config.max_inflight_requests * (1 if config.backend == "replay" else 2)
 
     def process(question: Question):
         path = artifact_path(out_dir, question)
@@ -151,18 +183,21 @@ def _run_stage(
         schema = catalog.get(question.db_id)
         if schema is None:
             return (question.question_id, f"unknown db_id {question.db_id}")
-        try:
-            payload = work(question, schema)
-        except Text2SqlError as exc:
-            return (question.question_id, str(exc))
-        except Exception as exc:
-            log.debug("%s stage failed on question %s", name, question.question_id, exc_info=True)
-            return (question.question_id, f"{type(exc).__name__}: {exc}")
-        _dump_json(path, payload)
+        with slots:
+            try:
+                payload = work(question, schema, slot_gateway)
+            except Text2SqlError as exc:
+                return (question.question_id, str(exc))
+            except Exception as exc:
+                log.debug(
+                    "%s stage failed on question %s", name, question.question_id, exc_info=True
+                )
+                return (question.question_id, f"{type(exc).__name__}: {exc}")
+            _dump_json(path, payload)
         return _PROCESSED
 
     summary = StageSummary(name)
-    for status in _pool_map(config, process, questions):
+    for status in _pool_map(workers, process, questions):
         if status == _PROCESSED:
             summary.processed += 1
         elif status == _SKIPPED:
@@ -204,11 +239,13 @@ def run_link_stage(
 ) -> StageSummary:
     """Write one linking artifact (linked schema + recall scores) per question."""
 
-    def work(question: Question, schema: DatabaseSchema) -> dict:
+    def work(question: Question, schema: DatabaseSchema, gateway) -> dict:
         linked, scores = link_schema(schema, question, gateway, config.linking_config())
         return _link_artifact(question, linked, scores)
 
-    return _run_stage("link", catalog, questions, config, out_dir, link_artifact_path, work, force)
+    return _run_stage(
+        "link", catalog, questions, gateway, config, out_dir, link_artifact_path, work, force
+    )
 
 
 def generation_view(
@@ -264,7 +301,7 @@ def run_generate_stage(
     then assemble predictions.json in dataset order. An existing trace that
     cannot be read is that question's failure and has no prediction."""
 
-    def work(question: Question, schema: DatabaseSchema) -> dict:
+    def work(question: Question, schema: DatabaseSchema, gateway) -> dict:
         view = generation_view(config, out_dir, question, schema)
         vote = generate_sql(question, view, gateway, schema.sqlite_path, config)
         trace = _vote_trace(question, vote)
@@ -279,7 +316,7 @@ def run_generate_stage(
         return trace
 
     summary = _run_stage(
-        "generate", catalog, questions, config, out_dir, vote_trace_path, work, force
+        "generate", catalog, questions, gateway, config, out_dir, vote_trace_path, work, force
     )
 
     predictions = []
@@ -374,7 +411,7 @@ def run_eval_stage(
     def score(record):
         return execution_accuracy([record], timeout=config.exec_timeout)[0]
 
-    eval_records = _pool_map(config, score, records) + settled
+    eval_records = _pool_map(config.max_inflight_requests, score, records) + settled
 
     per_question = []
     for question in questions:

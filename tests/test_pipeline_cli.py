@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import re
 import shutil
+import sys
 import threading
 import time
 from pathlib import Path
@@ -13,12 +15,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from text2sql import evaluation
+from text2sql import evaluation, voting
 from text2sql.cli import main
 from text2sql.config import BACKENDS, PipelineConfig, load_config
 from text2sql.errors import ConfigurationError
 from text2sql.evaluation import score_pair
-from text2sql.gateway import CacheStore, ChatCompletion, RecordingGateway, ReplayGateway
+from text2sql.gateway import (
+    CacheStore,
+    ChatCompletion,
+    ChatExchange,
+    ChatMessage,
+    LiveGateway,
+    RecordingGateway,
+    ReplayGateway,
+)
 from text2sql.minicorpus import ScriptedModel, seed_replay_cache
 from text2sql.pipeline import (
     load_predictions,
@@ -31,6 +41,7 @@ from text2sql.pipeline import (
 from text2sql.prompts import LAYOUT_CLEAR, LAYOUT_COMPLICATED
 
 from conftest import FIXTURES
+from test_gateway import _FakeResponse
 
 
 class CountingGateway:
@@ -164,6 +175,121 @@ def test_gateway_concurrency_stays_bounded(catalog, questions, replay_config, tm
     run_link_stage(catalog, questions, counting, replay_config, tmp_path)
     run_generate_stage(catalog, questions, counting, replay_config, tmp_path)
     assert 2 <= counting.max_active <= replay_config.max_inflight_requests
+
+
+class _Activity:
+    """How many POSTs and votes run at once, and how often one kind starts
+    while the other is running."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.now = {"post": 0, "vote": 0}
+        self.peak = {"post": 0, "vote": 0}
+        self.overlaps = 0
+
+    @contextlib.contextmanager
+    def running(self, kind):
+        with self._lock:
+            self.now[kind] += 1
+            self.peak[kind] = max(self.peak[kind], self.now[kind])
+            if self.now["post"] and self.now["vote"]:
+                self.overlaps += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self.now[kind] -= 1
+
+
+class _ScriptedSession:
+    """LiveGateway's session over the scripted model: each POST is in flight
+    for ``service_s``."""
+
+    def __init__(self, activity, service_s=0.02):
+        self.model = ScriptedModel()
+        self.activity = activity
+        self.service_s = service_s
+
+    def post(self, url, **request):
+        body = request["json"]
+        with self.activity.running("post"):
+            time.sleep(self.service_s)
+        messages = tuple(ChatMessage(m["role"], m["content"]) for m in body["messages"])
+        texts = self.model.complete(ChatExchange(messages, n=body["n"])).texts
+        return _FakeResponse(200, {"choices": [{"message": {"content": t}} for t in texts]})
+
+
+def _record_gateway(config, session):
+    """What make_gateway builds for the record backend, posting through ``session``."""
+    live = LiveGateway(
+        config.api_base,
+        "key",
+        max_attempts=config.retry_attempts,
+        max_inflight=config.max_inflight_requests,
+        session=session,
+    )
+    return RecordingGateway(live, CacheStore(config.cache_dir))
+
+
+@pytest.mark.parametrize("inflight", [1, 2])
+def test_record_backend_votes_while_requests_are_out(
+    catalog, questions, tmp_path, monkeypatch, inflight
+):
+    activity = _Activity()
+    cluster = voting.cluster_by_execution
+
+    def watched_cluster(*args, **kwargs):
+        with activity.running("vote"):
+            time.sleep(0.01)  # a vote on a real database takes milliseconds
+            return cluster(*args, **kwargs)
+
+    monkeypatch.setattr(voting, "cluster_by_execution", watched_cluster)
+    config = PipelineConfig(
+        backend="record", cache_dir=tmp_path / "cache", max_inflight_requests=inflight
+    )
+    gateway = _record_gateway(config, _ScriptedSession(activity))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a race shows
+    try:
+        _generate(catalog, questions, config, tmp_path / "arts", gateway)
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(activity.peak.values()) <= inflight
+    assert activity.overlaps >= 1
+    got = (tmp_path / "arts" / "predictions.json").read_text()
+    assert got == (FIXTURES / "expected_predictions.json").read_text()
+
+
+class _DownSession:
+    def post(self, url, **request):
+        raise OSError("connection refused")
+
+
+def test_record_backend_transport_failures_end_as_named_failures(catalog, questions, tmp_path):
+    config = PipelineConfig(
+        backend="record",
+        cache_dir=tmp_path / "cache",
+        max_inflight_requests=1,
+        retry_attempts=1,
+        use_linking=False,  # generate calls the gateway without link artifacts
+    )
+    gateway = _record_gateway(config, _DownSession())
+    summaries = []
+
+    def run_stages():
+        for stage in (run_link_stage, run_generate_stage):
+            summaries.append(stage(catalog, questions, gateway, config, tmp_path / "arts"))
+
+    runner = threading.Thread(target=run_stages, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert [summary.name for summary in summaries] == ["link", "generate"]
+    for summary in summaries:
+        assert [qid for qid, _ in summary.failures] == [q.question_id for q in questions]
+        for _, message in summary.failures:
+            assert "request failed after 1 attempts" in message
+            assert "connection refused" in message
 
 
 def test_generate_matches_frozen_predictions(catalog, questions, replay_config, tmp_path):
@@ -627,6 +753,39 @@ def test_cli_non_object_dataset_entry_is_named_error(
     args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts", **{which: bad})
     err = _fault_line(capsys, main(["run", *args]), 1)
     assert f"{bad}: {entry}" in err
+
+
+@pytest.mark.parametrize(
+    "field, index, bad",
+    [
+        ("column_names_original", 1, [0]),
+        ("foreign_keys", 0, [1, 2, 3]),
+        ("column_names_original", 1, ["0", "stadium_id"]),
+    ],
+    ids=["column-entry-of-one", "foreign-key-of-three", "string-table-index"],
+)
+def test_cli_malformed_tables_entry_is_named_error(
+    corpus_dir, replay_cache, tmp_path, capsys, field, index, bad
+):
+    descriptors = json.loads((corpus_dir / "tables.json").read_text())
+    assert descriptors[0]["db_id"] == "concert_singer"
+    descriptors[0][field][index] = bad
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(descriptors))
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts", tables=path)
+    err = _fault_line(capsys, main(["run", *args]), 1)
+    kind = "column" if field == "column_names_original" else "foreign key"
+    assert f"{path}: concert_singer: {kind} entry {index} is not a" in err
+
+
+def test_cli_eval_missing_predictions_file_is_named_error(
+    corpus_dir, replay_cache, tmp_path, capsys
+):
+    missing = tmp_path / "no_such_file.json"
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts") + ["--predictions", str(missing)]
+    err = _fault_line(capsys, main(["eval", *args]), 1)
+    assert f"cannot read {missing}" in err
+    assert not (tmp_path / "arts" / "report.json").exists()
 
 
 @pytest.mark.parametrize(
