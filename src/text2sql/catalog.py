@@ -162,9 +162,14 @@ def _schema_from_descriptor(descriptor: dict, path: Path) -> DatabaseSchema:
     """One database from its ``tables.json`` descriptor; an entry of the wrong
     shape is a SpiderFormatError naming ``path``, the db_id and the entry."""
     db_id = descriptor.get("db_id")
-    if not db_id:
-        raise SpiderFormatError(f"{path}: database descriptor without db_id")
+    if not db_id or not isinstance(db_id, str):
+        raise SpiderFormatError(f"{path}: database descriptor without a string db_id: {db_id!r}")
     table_names = descriptor.get("table_names_original") or descriptor.get("table_names") or []
+    if not isinstance(table_names, list):
+        raise SpiderFormatError(f"{path}: {db_id}: table names are not a JSON array")
+    for idx, name in enumerate(table_names):
+        if not isinstance(name, str):
+            raise SpiderFormatError(f"{path}: {db_id}: table name {idx} is not a string: {name!r}")
     column_pairs = descriptor.get("column_names_original") or descriptor.get("column_names") or []
     column_types = descriptor.get("column_types") or [""] * len(column_pairs)
 
@@ -182,16 +187,18 @@ def _schema_from_descriptor(descriptor: dict, path: Path) -> DatabaseSchema:
                 f"{path}: {db_id}: column entry {idx} is not a [table index, name] pair: {pair!r}"
             )
         table_idx, col_name = pair
+        if not -1 <= table_idx < len(table_names):  # -1 marks the "*" sentinel
+            raise SpiderFormatError(
+                f"{path}: {db_id}: column entry {idx} names table index {table_idx},"
+                f" but there are {len(table_names)} tables"
+            )
         column_ref[idx] = (table_idx, col_name)
         if table_idx < 0 or col_name == "*":
             continue
         declared = column_types[idx] if idx < len(column_types) else ""
-        columns_per_table.setdefault(table_idx, []).append(Column(col_name, declared))
+        columns_per_table[table_idx].append(Column(col_name, declared))
 
-    tables = tuple(
-        Table(name, tuple(columns_per_table.get(i, ())))
-        for i, name in enumerate(table_names)
-    )
+    tables = tuple(Table(name, tuple(columns_per_table[i])) for i, name in enumerate(table_names))
 
     fks = []
     for entry, pair in enumerate(descriptor.get("foreign_keys") or []):
@@ -221,7 +228,10 @@ def load_questions(path: Path | str) -> list[Question]:
     """Parse a Spider dev/test question file.
 
     ``question_id`` defaults to the zero-based record position; ``gold_sql``
-    comes from the record's ``query`` field when present.
+    comes from the record's ``query`` field when present. ``question`` and
+    ``db_id`` must be non-empty strings, ``query`` and ``difficulty`` strings
+    or absent; any other record is a SpiderFormatError naming the file and
+    the record's index.
     """
     path = Path(path)
     raw = read_json_file(path)
@@ -232,19 +242,25 @@ def load_questions(path: Path | str) -> list[Question]:
     for idx, record in enumerate(raw):
         if not isinstance(record, dict):
             raise SpiderFormatError(f"{path}: record {idx} is not a JSON object")
+        for key in ("question", "db_id", "query", "difficulty"):
+            value = record.get(key)
+            if value is not None and not isinstance(value, str):
+                raise SpiderFormatError(f"{path}: record {idx}: {key} is not a string: {value!r}")
         text = record.get("question")
         db_id = record.get("db_id")
         if not text or not db_id:
             raise SpiderFormatError(f"{path}: record {idx} is missing question or db_id")
-        questions.append(
-            Question(
+        try:
+            question = Question(
                 question_id=str(record.get("question_id", idx)),
                 db_id=db_id,
                 text=text,
                 gold_sql=record.get("query"),
                 difficulty=record.get("difficulty"),
             )
-        )
+        except SpiderFormatError as exc:
+            raise SpiderFormatError(f"{path}: record {idx}: {exc}") from exc
+        questions.append(question)
     return questions
 
 

@@ -2,10 +2,10 @@
 
 A prediction's EX outcome compares its result table with the gold query's,
 under the gold query's order sensitivity. ``score_pair`` executes both
-queries; ``score_table`` executes only the gold and takes the prediction's
-table from whoever already has it, which is how the generate stage scores a
-vote's winner from the table the vote executed. Both end in one comparison,
-so they agree on every verdict for deterministic queries.
+queries; ``score_outcome`` executes nothing and compares outcomes someone
+already has, which is how the generate stage scores a vote's winner from the
+tables the vote executed, the gold query's included. ``score_pair`` ends in
+``score_outcome``, so the two agree on every verdict for deterministic queries.
 """
 
 from __future__ import annotations
@@ -69,20 +69,12 @@ def score_pair(
         if not gold.ok:
             return OUTCOME_GOLD_ERROR
         predicted = execute_sql(db_path, predicted_sql, timeout=timeout, connection=connection)
-    return _compare(gold, predicted.table)
+    return score_outcome(gold, predicted.table)
 
 
-def score_table(
-    predicted: ResultTable | None, gold_sql: str, db_path: Path | str, timeout: float = 5.0
-) -> str:
-    """Outcome of a prediction whose result table is already known (None
-    when it failed to execute): only the gold query runs, on a connection of
-    its own. Equals ``score_pair`` on the prediction's SQL whenever that SQL
-    returns ``predicted`` again."""
-    return _compare(execute_sql(db_path, gold_sql, timeout=timeout), predicted)
-
-
-def _compare(gold: ExecutionOutcome, predicted: ResultTable | None) -> str:
+def score_outcome(gold: ExecutionOutcome, predicted: ResultTable | None) -> str:
+    """Outcome of a prediction whose result table is known (None when it
+    failed to execute) against the gold query's execution outcome."""
     if not gold.ok:
         return OUTCOME_GOLD_ERROR
     if predicted is None:

@@ -8,13 +8,15 @@ vote while it waits. The live and record backends run twice that many workers,
 one set waiting on POSTs (which ``LiveGateway`` bounds by the same number) and
 one voting; replay runs one worker per slot, as its calls wait on nothing.
 
-EX is scored where the winner's result table already is: after a question's
-vote, the generate stage runs the gold query once, compares it with the
-winning cluster's table, and records ``gold_sql`` and ``outcome`` in the vote
-trace. The eval stage takes that outcome when the trace's SQL and gold query
-are the ones it is asked to score, and executes both queries otherwise (an
-edited or external predictions file, a changed gold query, a trace written
-before outcomes were recorded).
+EX is scored where the result tables already are: the vote hands back the
+gold query's outcome with its clusters (the gold text is usually one of the
+candidates it executed; otherwise it runs once more on the vote's connection),
+so the generate stage executes nothing after the vote. It compares that
+outcome with the winning cluster's table and records ``gold_sql`` and
+``outcome`` in the vote trace. The eval stage takes that outcome when the
+trace's SQL and gold query are the ones it is asked to score, and executes
+both queries otherwise (an edited or external predictions file, a changed gold
+query, a trace written before outcomes were recorded).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .evaluation import (
     extract_gold_schema_items,
     recall_auc,
     render_report,
-    score_table,
+    score_outcome,
 )
 from .gateway import CacheStore, LiveGateway, RecordingGateway, ReplayGateway, atomic_write_text
 from .linking import RecallScores, link_schema
@@ -310,9 +312,7 @@ def run_generate_stage(
             # which is the member whose execution gave the cluster its table.
             winner_table = None if vote.fallback_used else vote.clusters[0].result
             trace["gold_sql"] = question.gold_sql
-            trace["outcome"] = score_table(
-                winner_table, question.gold_sql, schema.sqlite_path, timeout=config.exec_timeout
-            )
+            trace["outcome"] = score_outcome(vote.reference_outcome, winner_table)
         return trace
 
     summary = _run_stage(

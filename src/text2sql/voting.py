@@ -4,6 +4,11 @@ Completions are normalized into runnable candidates, executed once per distinct
 text on one read-only connection per question, and grouped by result
 equivalence; the winner comes from the largest group. Errors, timeouts,
 oversized results, and unparseable completions are removed before voting.
+
+The vote also hands back the question's gold query outcome, which EX scoring
+needs: the outcome of the candidate whose text is exactly the gold query when
+there is one, else one more statement on the same connection. So a question's
+SQL runs on one connection, and the gold query never runs twice.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .config import PipelineConfig
 from .executor import (
     STATUS_OVERFLOW,
     STATUS_TIMEOUT,
+    ExecutionOutcome,
     ReadOnlyConnection,
     ResultTable,
     execute_sql,
@@ -70,6 +76,8 @@ class VoteResult:
     clusters: list[ExecutionCluster]
     discarded: list[tuple[int, str]]
     fallback_used: bool = False
+    # The gold query's outcome, when the vote was given one (``reference_sql``).
+    reference_outcome: ExecutionOutcome | None = None
 
 
 def postprocess_completion(raw: str, sample_index: int) -> SqlCandidate:
@@ -103,8 +111,12 @@ def postprocess_completion(raw: str, sample_index: int) -> SqlCandidate:
 
 
 def cluster_by_execution(
-    candidates: list[SqlCandidate], db_path: Path | str, timeout: float = 5.0
-) -> tuple[list[ExecutionCluster], list[tuple[int, str]]]:
+    candidates: list[SqlCandidate],
+    db_path: Path | str,
+    timeout: float = 5.0,
+    *,
+    reference_sql: str | None = None,
+) -> tuple[list[ExecutionCluster], list[tuple[int, str]], ExecutionOutcome | None]:
     """Execute each distinct candidate text once and group successes by result
     equivalence.
 
@@ -115,9 +127,14 @@ def cluster_by_execution(
     ``timeout``. Clusters come back ordered by descending size, then ascending
     smallest member index; failed candidates land in the discard list with a
     reason.
+
+    The third item is ``reference_sql``'s outcome (None without one): kept from
+    the candidate execution whose text equals it exactly, else run once more on
+    the same connection.
     """
     clusters: list[ExecutionCluster] = []
     discarded: list[tuple[int, str]] = []
+    reference: ExecutionOutcome | None = None
     # Text -> its cluster, or its discard reason. Equivalence is reflexive and
     # deterministic and clusters are only appended, so a repeat would land in
     # the same place if it were executed and compared again.
@@ -129,27 +146,25 @@ def cluster_by_execution(
                 continue
             place = placed.get(candidate.text)
             if place is None:
-                place = placed[candidate.text] = _place(
-                    candidate.text, clusters, db_path, connection, timeout
+                outcome = execute_sql(
+                    db_path, candidate.text, timeout=timeout, connection=connection
                 )
+                if candidate.text == reference_sql:
+                    reference = outcome
+                place = placed[candidate.text] = _place(outcome, clusters)
             if isinstance(place, str):
                 discarded.append((candidate.sample_index, place))
             else:
                 place.members.append(candidate)
+        if reference_sql is not None and reference is None:
+            reference = execute_sql(db_path, reference_sql, timeout=timeout, connection=connection)
     clusters.sort(key=lambda c: (-c.size, c.min_index))
-    return clusters, discarded
+    return clusters, discarded, reference
 
 
-def _place(
-    text: str,
-    clusters: list[ExecutionCluster],
-    db_path: Path | str,
-    connection: ReadOnlyConnection,
-    timeout: float,
-) -> ExecutionCluster | str:
-    """Execute one text and return the first cluster with an equivalent result,
-    appending a new one if none matches, or the discard reason on failure."""
-    outcome = execute_sql(db_path, text, timeout=timeout, connection=connection)
+def _place(outcome: ExecutionOutcome, clusters: list[ExecutionCluster]) -> ExecutionCluster | str:
+    """The first cluster with a result equivalent to the outcome's, appending a
+    new one if none matches, or the discard reason of a failed execution."""
     if not outcome.ok:
         return _DISCARD_REASONS.get(outcome.status, DISCARD_SQL_ERROR)
     for cluster in clusters:
@@ -199,12 +214,17 @@ def generate_sql(
     results on ``db_path``, each statement under ``config.exec_timeout``.
 
     A single sample goes through the same vote, so a lone failing sample is
-    discarded and returned as the flagged fallback.
+    discarded and returned as the flagged fallback. A question with gold SQL
+    gets its outcome in ``reference_outcome``, from the same vote.
     """
     completion = gateway.complete(generation_request(question, view, config))
     candidates = [
         postprocess_completion(text, index) for index, text in enumerate(completion.texts)
     ]
 
-    clusters, discarded = cluster_by_execution(candidates, db_path, timeout=config.exec_timeout)
-    return select_final(clusters, discarded, fallback=candidates[0])
+    clusters, discarded, reference = cluster_by_execution(
+        candidates, db_path, timeout=config.exec_timeout, reference_sql=question.gold_sql
+    )
+    vote = select_final(clusters, discarded, fallback=candidates[0])
+    vote.reference_outcome = reference
+    return vote

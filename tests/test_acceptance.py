@@ -197,7 +197,7 @@ def test_criterion_3_voting_matches_brute_force_oracle(concert_db, car_db):
                 raws = [rng.choice(pool) for _ in range(count)]
 
             candidates = [postprocess_completion(raw, i) for i, raw in enumerate(raws)]
-            clusters, discarded = cluster_by_execution(candidates, db_path)
+            clusters, discarded, _ = cluster_by_execution(candidates, db_path)
             result = select_final(clusters, discarded, candidates[0])
 
             oracle_winner, oracle_discards, oracle_sizes = _brute_force_reference(

@@ -18,8 +18,8 @@ from text2sql.evaluation import (
     pairwise_auc,
     recall_auc,
     render_report,
+    score_outcome,
     score_pair,
-    score_table,
 )
 from text2sql.linking import RecallScores
 
@@ -80,15 +80,15 @@ SCORED_POOL = [
 
 @pytest.mark.parametrize("gold", SCORED_POOL)
 def test_score_table_agrees_with_score_pair(concert_db, gold, opened_connections):
-    # score_table takes the prediction's table from a run already made; with
-    # a deterministic prediction it must give score_pair's verdict.
+    # score_outcome compares outcomes from runs already made; with
+    # deterministic queries it must give score_pair's verdict.
+    gold_outcome = execute_sql(concert_db, gold)
     for predicted in SCORED_POOL:
         table = execute_sql(concert_db, predicted).table
         opened = len(opened_connections)
-        verdict = score_table(table, gold, concert_db)
-        # Only the gold query runs, on a connection of its own; a refused
-        # one opens none.
-        assert len(opened_connections) - opened == (0 if gold.startswith("DELETE") else 1)
+        verdict = score_outcome(gold_outcome, table)
+        # Nothing runs: the comparison opens no connection.
+        assert len(opened_connections) == opened
         assert verdict == score_pair(predicted, gold, concert_db), (predicted, gold)
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from text2sql import evaluation, voting
+from text2sql import evaluation, executor, voting
 from text2sql.cli import main
 from text2sql.config import BACKENDS, PipelineConfig, load_config
 from text2sql.errors import ConfigurationError
@@ -363,6 +363,52 @@ def test_recorded_outcome_equals_score_pair(catalog, questions, replay_config, t
     assert outcomes[varied[2].question_id] == (False, "gold_error")
     assert outcomes[varied[3].question_id] == (False, "mismatch")
     assert all(outcomes[q.question_id] == (False, "match") for q in varied[4:])
+
+
+def test_demo_generate_stage_executes_only_the_votes(
+    catalog, questions, replay_config, tmp_path, opened_connections, monkeypatch
+):
+    # Each vote runs its distinct candidate texts and, only when it is none of
+    # them, the gold query, all on one connection; nothing runs after it.
+    gateway = make_gateway(replay_config)
+    assert run_link_stage(catalog, questions, gateway, replay_config, tmp_path).ok
+    expected = []
+    cluster = voting.cluster_by_execution
+
+    def watched_cluster(candidates, db_path, timeout=5.0, *, reference_sql=None):
+        texts = list(dict.fromkeys(c.text for c in candidates if not c.unparseable))
+        if reference_sql not in texts:
+            texts.append(reference_sql)
+        expected.extend((str(db_path), text) for text in texts)
+        return cluster(candidates, db_path, timeout, reference_sql=reference_sql)
+
+    calls: dict[str, list] = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+        made = calls[f"{owner.__name__}.{name}"] = []
+
+        def counting(*args, **kwargs):
+            outcome = original(*args, **kwargs)
+            made.append((str(args[0]), args[1], outcome.message))
+            return outcome
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(voting, "execute_sql")
+    count(evaluation, "execute_sql")
+    count(executor, "_run_statement")
+    monkeypatch.setattr(voting, "cluster_by_execution", watched_cluster)
+    opened = len(opened_connections)
+    assert run_generate_stage(catalog, questions, gateway, replay_config, tmp_path).ok
+    voted = calls["text2sql.voting.execute_sql"]
+    assert calls["text2sql.evaluation.execute_sql"] == []
+    assert sorted((db, sql) for db, sql, _ in voted) == sorted(expected)
+    refused = sum(message == "write statement refused" for *_, message in voted)
+    assert len(calls["text2sql.executor._run_statement"]) == len(voted) - refused
+    assert len(opened_connections) - opened == len(questions)
+    got = (tmp_path / "predictions.json").read_text()
+    assert got == (FIXTURES / "expected_predictions.json").read_text()
 
 
 def test_eval_rescores_what_the_trace_does_not_cover(
@@ -756,26 +802,68 @@ def test_cli_non_object_dataset_entry_is_named_error(
 
 
 @pytest.mark.parametrize(
-    "field, index, bad",
+    "field, index, bad, named",
     [
-        ("column_names_original", 1, [0]),
-        ("foreign_keys", 0, [1, 2, 3]),
-        ("column_names_original", 1, ["0", "stadium_id"]),
+        ("column_names_original", 1, [0], "concert_singer: column entry 1 is not a"),
+        ("foreign_keys", 0, [1, 2, 3], "concert_singer: foreign key entry 0 is not a"),
+        ("column_names_original", 1, ["0", "stadium_id"], "concert_singer: column entry 1 is not a"),
+        ("column_names_original", 2, [99, "location"],
+         "concert_singer: column entry 2 names table index 99, but there are 4 tables"),
+        ("column_names_original", 2, [4, "location"],
+         "concert_singer: column entry 2 names table index 4, but there are 4 tables"),
+        ("column_names_original", 2, [-5, "location"],
+         "concert_singer: column entry 2 names table index -5, but there are 4 tables"),
+        ("table_names_original", 1, 5, "concert_singer: table name 1 is not a string: 5"),
+        ("db_id", None, 5, "database descriptor without a string db_id: 5"),
     ],
-    ids=["column-entry-of-one", "foreign-key-of-three", "string-table-index"],
+    ids=[
+        "column-entry-of-one",
+        "foreign-key-of-three",
+        "string-table-index",
+        "table-index-99",
+        "table-index-at-end",
+        "table-index-minus-5",
+        "integer-table-name",
+        "integer-db-id",
+    ],
 )
 def test_cli_malformed_tables_entry_is_named_error(
-    corpus_dir, replay_cache, tmp_path, capsys, field, index, bad
+    corpus_dir, replay_cache, tmp_path, capsys, field, index, bad, named
 ):
     descriptors = json.loads((corpus_dir / "tables.json").read_text())
     assert descriptors[0]["db_id"] == "concert_singer"
-    descriptors[0][field][index] = bad
+    if index is None:
+        descriptors[0][field] = bad
+    else:
+        descriptors[0][field][index] = bad
     path = tmp_path / "tables.json"
     path.write_text(json.dumps(descriptors))
     args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts", tables=path)
     err = _fault_line(capsys, main(["run", *args]), 1)
-    kind = "column" if field == "column_names_original" else "foreign key"
-    assert f"{path}: concert_singer: {kind} entry {index} is not a" in err
+    assert f"{path}: {named}" in err
+
+
+@pytest.mark.parametrize(
+    "field, bad, named",
+    [
+        ("query", 5, "query is not a string: 5"),
+        ("question", ["x"], "question is not a string: ['x']"),
+        ("db_id", 5, "db_id is not a string: 5"),
+        ("difficulty", 3, "difficulty is not a string: 3"),
+        ("difficulty", "trivial", "unknown difficulty 'trivial'"),
+    ],
+    ids=["query-int", "question-list", "db-id-int", "difficulty-int", "unknown-difficulty"],
+)
+def test_cli_mistyped_question_field_is_named_error(
+    corpus_dir, replay_cache, tmp_path, capsys, field, bad, named
+):
+    records = json.loads((corpus_dir / "questions.json").read_text())
+    records[1][field] = bad
+    path = tmp_path / "questions.json"
+    path.write_text(json.dumps(records))
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts", questions=path)
+    err = _fault_line(capsys, main(["run", *args]), 1)
+    assert f"{path}: record 1: {named}" in err
 
 
 def test_cli_eval_missing_predictions_file_is_named_error(

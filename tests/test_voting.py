@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import sqlite3
 
@@ -7,10 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from text2sql import voting
+from text2sql import executor, voting
 from text2sql.catalog import LinkedSchema, Question
 from text2sql.errors import DatabaseMissingError
-from text2sql.executor import STATUS_OVERFLOW, STATUS_TIMEOUT, execute_sql, results_equivalent
+from text2sql.evaluation import OUTCOME_GOLD_ERROR, OUTCOME_MATCH, score_outcome
+from text2sql.executor import (
+    STATUS_ERROR,
+    STATUS_OVERFLOW,
+    STATUS_TIMEOUT,
+    execute_sql,
+    results_equivalent,
+)
 from text2sql.gateway import ChatCompletion
 from text2sql.config import PipelineConfig
 from text2sql.voting import (
@@ -95,7 +103,7 @@ def _candidates(*sqls: str) -> list[SqlCandidate]:
 
 
 def test_cluster_groups_equivalent_queries(concert_db):
-    clusters, discarded = cluster_by_execution(
+    clusters, discarded, _ = cluster_by_execution(
         _candidates(
             "SELECT count(*) FROM singer",
             "SELECT count(singer_id) FROM singer",
@@ -110,7 +118,7 @@ def test_cluster_groups_equivalent_queries(concert_db):
 
 def test_cluster_conservation_with_errors(concert_db):
     sqls = ["SELECT count(*) FROM singer"] * 17 + ["SELECT * FROM ghost"] * 3
-    clusters, discarded = cluster_by_execution(_candidates(*sqls), concert_db)
+    clusters, discarded, _ = cluster_by_execution(_candidates(*sqls), concert_db)
     assert sum(c.size for c in clusters) == 17
     assert len(discarded) == 3
     assert all(reason == DISCARD_SQL_ERROR for _, reason in discarded)
@@ -118,7 +126,7 @@ def test_cluster_conservation_with_errors(concert_db):
 
 def test_cluster_overflow_has_its_own_reason(concert_db):
     sqls = ["SELECT count(*) FROM singer"] * 2 + [CROSS_JOIN, "SELECT * FROM ghost"]
-    clusters, discarded = cluster_by_execution(_candidates(*sqls), concert_db)
+    clusters, discarded, _ = cluster_by_execution(_candidates(*sqls), concert_db)
     assert sum(c.size for c in clusters) == 2
     assert discarded == [(2, DISCARD_OVERFLOW), (3, DISCARD_SQL_ERROR)]
 
@@ -133,7 +141,7 @@ def test_cluster_executes_each_distinct_text_once(concert_db, monkeypatch):
     monkeypatch.setattr(voting, "execute_sql", counting_execute)
     distinct = ["SELECT count(*) FROM singer", "SELECT * FROM ghost", "SELECT max(age) FROM singer"]
     sqls = [distinct[i % 3] for i in range(20)]
-    clusters, discarded = cluster_by_execution(_candidates(*sqls), concert_db)
+    clusters, discarded, _ = cluster_by_execution(_candidates(*sqls), concert_db)
     assert sorted(executed) == sorted(distinct)
     ghost_indices = [i for i, sql in enumerate(sqls) if sql == distinct[1]]
     assert discarded == [(i, DISCARD_SQL_ERROR) for i in ghost_indices]
@@ -168,18 +176,23 @@ def _cluster_every_candidate(candidates, db_path):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.sampled_from(VOTE_POOL), min_size=1, max_size=20))
-def test_cluster_matches_executing_every_candidate(concert_db, raws):
+@given(st.lists(st.sampled_from(VOTE_POOL), min_size=1, max_size=20), st.sampled_from(VOTE_POOL))
+def test_cluster_matches_executing_every_candidate(concert_db, raws, gold_raw):
     candidates = [postprocess_completion(raw, i) for i, raw in enumerate(raws)]
-    assert cluster_by_execution(candidates, concert_db) == _cluster_every_candidate(
-        candidates, concert_db
+    gold = postprocess_completion(gold_raw, 0).text
+    clusters, discarded, reference = cluster_by_execution(
+        candidates, concert_db, reference_sql=gold
     )
+    assert (clusters, discarded) == _cluster_every_candidate(candidates, concert_db)
+    # The gold outcome, whether kept from a candidate or run after the vote,
+    # is what a run of its own gives.
+    assert reference == execute_sql(concert_db, gold)
 
 
 def test_cluster_gives_each_statement_its_own_deadline(concert_db):
     # The runaway query uses up its deadline on the connection the vote
     # shares; the next text must still run to completion on it.
-    clusters, discarded = cluster_by_execution(
+    clusters, discarded, _ = cluster_by_execution(
         _candidates(RUNAWAY, BOUNDED_RECURSION), concert_db, timeout=0.2
     )
     assert discarded == [(0, DISCARD_TIMEOUT)]
@@ -189,7 +202,7 @@ def test_cluster_gives_each_statement_its_own_deadline(concert_db):
 
 def test_cluster_runs_valid_text_after_overflow(concert_db):
     ordered = "SELECT name FROM singer ORDER BY age"
-    clusters, discarded = cluster_by_execution(_candidates(CROSS_JOIN, ordered), concert_db)
+    clusters, discarded, _ = cluster_by_execution(_candidates(CROSS_JOIN, ordered), concert_db)
     assert discarded == [(0, DISCARD_OVERFLOW)]
     assert [[m.sample_index for m in c.members] for c in clusters] == [[1]]
     assert clusters[0].result == execute_sql(concert_db, ordered).table
@@ -197,7 +210,7 @@ def test_cluster_runs_valid_text_after_overflow(concert_db):
 
 def test_cluster_opens_one_connection_per_call(concert_db, opened_connections):
     sqls = ["SELECT count(*) FROM singer", CROSS_JOIN, "SELECT * FROM ghost", "DELETE FROM singer"]
-    clusters, discarded = cluster_by_execution(_candidates(*sqls * 5), concert_db)
+    clusters, discarded, _ = cluster_by_execution(_candidates(*sqls * 5), concert_db)
     assert sum(c.size for c in clusters) == 5 and len(discarded) == 15
     assert len(opened_connections) == 1
     cluster_by_execution(_candidates("SELECT max(age) FROM singer"), concert_db)
@@ -212,7 +225,7 @@ def test_cluster_opens_no_connection_when_nothing_runs(concert_db, tmp_path, ope
     candidates.append(SqlCandidate(text="", sample_index=2, raw_completion="???"))
     missing = tmp_path / "missing.sqlite"
     for db_path in (concert_db, missing):
-        clusters, discarded = cluster_by_execution(candidates, db_path)
+        clusters, discarded, _ = cluster_by_execution(candidates, db_path)
         assert clusters == []
         assert [reason for _, reason in discarded] == [
             DISCARD_SQL_ERROR, DISCARD_SQL_ERROR, DISCARD_UNPARSEABLE
@@ -228,7 +241,7 @@ def test_cluster_opens_no_connection_when_nothing_runs(concert_db, tmp_path, ope
 
 def test_cluster_order_insensitive_rows_group_together(concert_db):
     # Same multiset, different order: both order-insensitive, so one cluster.
-    clusters, _ = cluster_by_execution(
+    clusters, _, _ = cluster_by_execution(
         _candidates(
             "SELECT singer_id FROM singer WHERE singer_id <= 2",
             "SELECT singer_id FROM singer WHERE singer_id <= 2 "
@@ -239,7 +252,7 @@ def test_cluster_order_insensitive_rows_group_together(concert_db):
     # The second query carries ORDER BY at top level, so it is order sensitive
     # and only groups if sequences agree: rows are (2, 1) vs (1, 2) -> separate.
     assert [c.size for c in clusters] == [1, 1]
-    clusters, _ = cluster_by_execution(
+    clusters, _, _ = cluster_by_execution(
         _candidates(
             "SELECT singer_id FROM singer WHERE singer_id <= 2",
             "SELECT singer_id FROM singer WHERE singer_id IN (2, 1)",
@@ -253,7 +266,7 @@ def test_cluster_order_insensitive_rows_group_together(concert_db):
 def test_cluster_unparseable_discarded_without_execution(concert_db):
     candidates = _candidates("SELECT count(*) FROM singer")
     candidates.append(SqlCandidate(text="", sample_index=1, raw_completion="???"))
-    clusters, discarded = cluster_by_execution(candidates, concert_db)
+    clusters, discarded, _ = cluster_by_execution(candidates, concert_db)
     assert discarded == [(1, DISCARD_UNPARSEABLE)]
     assert clusters[0].size == 1
 
@@ -384,6 +397,74 @@ def test_generate_sql_lone_surrogate_sample_is_discarded(concert_db, singer_view
     assert result.discarded == [(0, DISCARD_SQL_ERROR)]
 
 
+def _count_calls(monkeypatch, owner, name) -> list:
+    """The positional arguments of every call made through ``owner.name``."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+GOLD = "SELECT count(*) FROM singer"
+
+
+@pytest.mark.parametrize(
+    "gold, run_after_vote",
+    [(None, []), (GOLD, []), (GOLD.replace(" FROM", "  FROM"), [GOLD.replace(" FROM", "  FROM")])],
+    ids=["no-gold", "gold-is-a-candidate", "gold-differs-in-whitespace"],
+)
+def test_generate_sql_takes_the_gold_outcome_from_the_vote(
+    concert_db, singer_view, question, monkeypatch, opened_connections, gold, run_after_vote
+):
+    # The gold text is matched exactly: one that is not a candidate runs once
+    # more, after the vote's texts and on the vote's connection.
+    distinct = [GOLD, "SELECT max(age) FROM singer", "SELECT * FROM ghost"]
+    texts = [" count(*) FROM singer"] * 3 + distinct[1:] * 2
+    voted = _count_calls(monkeypatch, voting, "execute_sql")
+    statements = _count_calls(monkeypatch, executor, "_run_statement")
+    result = generate_sql(
+        dataclasses.replace(question, gold_sql=gold),
+        singer_view,
+        _FixedGateway(texts),
+        concert_db,
+        PipelineConfig(n_samples=len(texts)),
+    )
+    assert [args[1] for args in voted] == distinct + run_after_vote
+    assert len(statements) == len(voted)
+    assert len(opened_connections) == 1
+    if gold is None:
+        assert result.reference_outcome is None
+    else:
+        assert result.reference_outcome == execute_sql(concert_db, gold)
+        assert score_outcome(result.reference_outcome, result.clusters[0].result) == OUTCOME_MATCH
+
+
+@pytest.mark.parametrize(
+    "gold, status", [("DELETE FROM singer", STATUS_ERROR), (RUNAWAY, STATUS_TIMEOUT)],
+    ids=["refused", "timed-out"],
+)
+@pytest.mark.parametrize("among_candidates", [True, False], ids=["candidate", "not-candidate"])
+def test_cluster_gold_that_cannot_run_scores_gold_error(
+    concert_db, monkeypatch, opened_connections, gold, status, among_candidates
+):
+    # A gold query that failed in the vote keeps that outcome: one that timed
+    # out there is not given a second run.
+    voted = _count_calls(monkeypatch, voting, "execute_sql")
+    sqls = [GOLD] + [gold, gold] * among_candidates
+    clusters, _, reference = cluster_by_execution(
+        _candidates(*sqls), concert_db, timeout=0.2, reference_sql=gold
+    )
+    assert [args[1] for args in voted] == [GOLD, gold]
+    assert reference.status == status
+    assert score_outcome(reference, clusters[0].result) == OUTCOME_GOLD_ERROR
+    assert len(opened_connections) == 1
+
+
 POOL = [
     "SELECT count(*) FROM singer",                      # A: one row [6]
     "SELECT count(singer_id) FROM singer",              # A again, different text
@@ -399,7 +480,7 @@ def test_winning_class_invariant_under_permutation(concert_db):
     rng = random.Random(42)
     for _ in range(50):
         sqls = [rng.choice(POOL) for _ in range(rng.randint(1, 6))]
-        base_clusters, base_discarded = cluster_by_execution(_candidates(*sqls), concert_db)
+        base_clusters, base_discarded, _ = cluster_by_execution(_candidates(*sqls), concert_db)
         base = select_final(
             base_clusters, base_discarded, _candidates(*sqls)[0]
         )
@@ -409,7 +490,7 @@ def test_winning_class_invariant_under_permutation(concert_db):
             SqlCandidate(text=sql, sample_index=i, raw_completion=sql)
             for i, (_, sql) in enumerate(perm)
         ]
-        clusters, discarded = cluster_by_execution(shuffled, concert_db)
+        clusters, discarded, _ = cluster_by_execution(shuffled, concert_db)
         result = select_final(clusters, discarded, shuffled[0])
         if base.fallback_used:
             assert result.fallback_used
