@@ -18,7 +18,10 @@ BACKENDS = ("live", "record", "replay")
 ENV_PREFIX = "TEXT2SQL_"
 API_KEY_ENV = "TEXT2SQL_API_KEY"
 
-_COUNT_FIELDS = ("n_samples", "recall_samples", "k_tables", "k_columns", "max_inflight_requests")
+_COUNT_FIELDS = (
+    "n_samples", "recall_samples", "k_tables", "k_columns", "max_inflight_requests",
+    "max_generation_tokens", "max_recall_tokens", "retry_attempts",
+)
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,8 @@ class PipelineConfig:
             raise ConfigurationError(f"unknown layout {self.layout!r}")
         if self.exec_timeout <= 0:
             raise ConfigurationError("exec_timeout must be positive")
+        if not self.temperature >= 0:
+            raise ConfigurationError("temperature must be >= 0")
 
     @property
     def effective_n_samples(self) -> int:

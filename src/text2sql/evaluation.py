@@ -6,18 +6,21 @@ queries; ``score_outcome`` executes nothing and compares outcomes someone
 already has, which is how the generate stage scores a vote's winner from the
 tables the vote executed, the gold query's included. ``score_pair`` ends in
 ``score_outcome``, so the two agree on every verdict for deterministic queries.
+
+Recall AUC ranks the linker's scores against the tables and columns the gold
+query reads, as SQLite's authorizer names them while it prepares the query.
 """
 
 from __future__ import annotations
 
 import json
-import re
+import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .catalog import DatabaseSchema
 from .executor import (
+    SQL_FAILURES,
     ExecutionOutcome,
     ReadOnlyConnection,
     ResultTable,
@@ -51,10 +54,6 @@ class EvalReport:
     per_difficulty_ex: dict[str, float]
     table_auc: float | None = None
     column_auc: float | None = None
-
-    @property
-    def matches(self) -> int:
-        return self.counts.get(OUTCOME_MATCH, 0)
 
 
 def score_pair(
@@ -125,78 +124,32 @@ def build_report(
     )
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)?")
-
-
-def _strip_string_literals(sql: str) -> str:
-    out = []
-    in_single = False
-    for ch in sql:
-        if in_single:
-            if ch == "'":
-                in_single = False
-            continue
-        if ch == "'":
-            in_single = True
-            out.append(" ")
-            continue
-        out.append(ch)
-    return "".join(out)
-
-
-def extract_gold_schema_items(
-    gold_sql: str, schema: DatabaseSchema
-) -> tuple[set[str], set[tuple[str, str]]]:
-    """Best-effort extraction of the schema items a gold query references.
-
-    Bare tokens match table names directly and column names within every
-    referenced table; dotted ``t.c`` tokens resolve exactly, including through
-    ``AS`` aliases. Only names that exist in the schema are ever returned.
-    """
-    text = _strip_string_literals(gold_sql)
-    tokens = _IDENT_RE.findall(text)
-    tables_by_lower = {t.name.lower(): t.name for t in schema.tables}
-
-    # First pass: referenced tables and AS-alias definitions.
-    mentioned_tables: set[str] = set()
-    aliases: dict[str, str] = {}
-    previous: str | None = None
-    pending_alias_for: str | None = None
-    for token in tokens:
-        lowered = token.lower()
-        if pending_alias_for is not None:
-            aliases[lowered] = pending_alias_for
-            pending_alias_for = None
-            previous = token
-            continue
-        if lowered == "as" and previous is not None and previous.lower() in tables_by_lower:
-            pending_alias_for = tables_by_lower[previous.lower()]
-            continue
-        if lowered in tables_by_lower:
-            mentioned_tables.add(tables_by_lower[lowered])
-        previous = token
-
-    # Second pass: dotted references first so their tables also catch bare tokens.
+def gold_schema_items(
+    gold_sql: str, connection: ReadOnlyConnection
+) -> tuple[set[str], set[tuple[str, str]]] | None:
+    """The tables and (table, column) pairs the gold query reads, as SQLite
+    resolves them while preparing ``EXPLAIN <gold>`` on ``connection``; the
+    query itself never runs. A table read for no column (``count(*)``) adds
+    the table only. None when SQLite cannot prepare the query."""
+    tables: set[str] = set()
     columns: set[tuple[str, str]] = set()
-    dotted = [t.lower() for t in tokens if "." in t]
-    bare = [t.lower() for t in tokens if "." not in t]
-    for token in dotted:
-        qualifier, _, column = token.partition(".")
-        table_name = aliases.get(qualifier) or tables_by_lower.get(qualifier)
-        if table_name is None:
-            continue
-        table = schema.find_table(table_name)
-        for col in table.column_names:
-            if col.lower() == column:
-                columns.add((table_name, col))
-                mentioned_tables.add(table_name)
-    for token in bare:
-        for table_name in mentioned_tables:
-            table = schema.find_table(table_name)
-            for col in table.column_names:
-                if col.lower() == token:
-                    columns.add((table_name, col))
-    return mentioned_tables, columns
+
+    def record_read(action, table, column, database, trigger):
+        if action == sqlite3.SQLITE_READ:
+            tables.add(table)
+            if column:
+                columns.add((table, column))
+        return sqlite3.SQLITE_OK
+
+    conn = connection.get()
+    # A fresh authorizer also expires the connection's cached statements, so a
+    # gold text prepared before is prepared again and its reads recorded.
+    conn.set_authorizer(record_read)
+    try:
+        conn.execute("EXPLAIN " + gold_sql).close()
+    except SQL_FAILURES:
+        return None
+    return tables, columns
 
 
 def pairwise_auc(scored: Sequence[tuple[float, bool]]) -> float | None:

@@ -43,6 +43,11 @@ TOLERANT_MATCH_MAX_ROWS = 1000
 # one clock read, and 10 000 instructions take well under a millisecond.
 PROGRESS_CHECK_OPS = 10_000
 
+# What sqlite3 raises for SQL it cannot prepare or run. Text it cannot take (a
+# NUL, a lone surrogate, a second statement) raises ValueError or, before
+# Python 3.11, Warning.
+SQL_FAILURES = (sqlite3.Error, sqlite3.Warning, ValueError)
+
 STATUS_SUCCESS = "success"
 STATUS_ERROR = "error"
 STATUS_TIMEOUT = "timeout"
@@ -231,12 +236,9 @@ def _run_statement(
             column_count=column_count, rows=tuple(rows), order_sensitive=order_sensitive
         )
         return ExecutionOutcome.success(table)
-    except sqlite3.Error as exc:
+    except SQL_FAILURES as exc:
         if expired:
             return ExecutionOutcome.timeout()
-        return ExecutionOutcome.sql_error(str(exc))
-    except UnicodeEncodeError as exc:
-        # SQL holding a lone surrogate has no UTF-8 form for SQLite to read.
         return ExecutionOutcome.sql_error(str(exc))
     finally:
         # An overflow leaves the statement mid-fetch; finish it before the
@@ -288,7 +290,7 @@ def results_equivalent(a: ResultTable, b: ResultTable) -> bool:
     if a.column_count != b.column_count or len(a.rows) != len(b.rows):
         return False
     if a.order_sensitive or b.order_sensitive:
-        return all(_rows_equal(x, y) for x, y in zip(a.rows, b.rows))
+        return a.rows == b.rows or all(_rows_equal(x, y) for x, y in zip(a.rows, b.rows))
     left = a.sorted_rows
     right = b.sorted_rows
     # Fast path: exact multiset equality (Python already unifies 3 and 3.0).

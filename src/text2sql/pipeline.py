@@ -25,6 +25,7 @@ import json
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,11 +38,12 @@ from .evaluation import (
     EvalReport,
     build_report,
     execution_accuracy,
-    extract_gold_schema_items,
+    gold_schema_items,
     recall_auc,
     render_report,
     score_outcome,
 )
+from .executor import ReadOnlyConnection
 from .gateway import CacheStore, LiveGateway, RecordingGateway, ReplayGateway, atomic_write_text
 from .linking import RecallScores, link_schema
 from .voting import VoteResult, generate_sql
@@ -372,8 +374,8 @@ def run_eval_stage(
 
     A prediction takes the outcome its vote trace recorded when there is one
     (see ``recorded_outcome``); the rest execute both queries. Questions
-    without a prediction are scored as mismatches; recall AUC is joined in
-    when linking artifacts are present.
+    without a prediction are scored as mismatches. Recall AUC pools the
+    questions with a linking artifact and a gold query SQLite can prepare.
     """
     records = []
     settled: list[EvalRecord] = []
@@ -414,13 +416,19 @@ def run_eval_stage(
     eval_records = _pool_map(config.max_inflight_requests, score, records) + settled
 
     per_question = []
-    for question in questions:
-        linked = read_link_artifact(out_dir, question)
-        if linked is None:
-            continue
-        schema = catalog[question.db_id]
-        gold_tables, gold_columns = extract_gold_schema_items(question.gold_sql, schema)
-        per_question.append((linked[1], gold_tables, gold_columns))
+    with ExitStack() as stack:
+        # Opened at a database's first gold query, if any.
+        connections = {
+            db_id: stack.enter_context(ReadOnlyConnection(schema.sqlite_path))
+            for db_id, schema in catalog.items()
+        }
+        for question in questions:
+            linked = read_link_artifact(out_dir, question)
+            if linked is None:
+                continue
+            gold_items = gold_schema_items(question.gold_sql, connections[question.db_id])
+            if gold_items is not None:
+                per_question.append((linked[1], *gold_items))
     table_auc, column_auc = recall_auc(per_question) if per_question else (None, None)
 
     report = build_report(eval_records, table_auc=table_auc, column_auc=column_auc)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from text2sql import executor
 from text2sql.errors import DatabaseMissingError
-from text2sql.executor import execute_sql
+from text2sql.executor import ReadOnlyConnection, execute_sql
 from text2sql.evaluation import (
     EvalRecord,
     build_report,
     execution_accuracy,
-    extract_gold_schema_items,
+    gold_schema_items,
     pairwise_auc,
     recall_auc,
     render_report,
@@ -126,45 +126,73 @@ def test_score_pair_tokenizes_each_query_once(concert_db, monkeypatch):
     assert sorted(scanned) == sorted([gold, "SELECT name FROM singer ORDER BY age DESC"])
 
 
-def test_extract_items_count_star(concert_schema):
-    tables, columns = extract_gold_schema_items("SELECT count(*) FROM singer", concert_schema)
-    assert tables == {"singer"}
-    assert columns == set()
+_SINGER_COLUMNS = ("singer_id", "name", "country", "song_name", "song_release_year", "age",
+                   "is_male")
+_MAKERS_JOIN = "FROM car_makers JOIN model_list ON model_list.maker = car_makers.id"
+_NAME = {("singer", "name")}
 
 
-def test_extract_items_alias_resolution(concert_schema):
-    tables, columns = extract_gold_schema_items(
-        "SELECT T1.name FROM singer AS T1", concert_schema
-    )
-    assert tables == {"singer"}
-    assert columns == {("singer", "name")}
-
-
-def test_extract_items_join_tables(car_schema):
-    tables, _ = extract_gold_schema_items(
-        "SELECT maker FROM car_makers JOIN model_list ON model_list.maker = car_makers.id",
-        car_schema,
-    )
-    assert tables == {"car_makers", "model_list"}
-
-
-def test_extract_items_ignores_string_literals(concert_schema):
-    tables, columns = extract_gold_schema_items(
-        "SELECT name FROM stadium WHERE location = 'singer age'", concert_schema
-    )
-    assert tables == {"stadium"}
-    assert ("singer", "age") not in columns
-
-
-def test_extract_items_never_leaves_schema(concert_schema):
-    tables, columns = extract_gold_schema_items(
-        "SELECT ghost_col FROM ghost_table JOIN singer", concert_schema
-    )
-    table_names = {t.name for t in concert_schema.tables}
-    assert tables <= table_names
-    for table, column in columns:
-        assert table in table_names
-        assert column in concert_schema.find_table(table).column_names
+@pytest.mark.parametrize(
+    "db, gold, expected",
+    [
+        pytest.param(
+            "concert_db", "SELECT count(*) FROM singer", ({"singer"}, set()), id="count_star"
+        ),
+        pytest.param("concert_db", "SELECT T1.name FROM singer AS T1", ({"singer"}, _NAME),
+                     id="alias"),
+        pytest.param(
+            "car_db",
+            f"SELECT car_makers.maker {_MAKERS_JOIN}",
+            (
+                {"car_makers", "model_list"},
+                {("car_makers", "maker"), ("car_makers", "id"), ("model_list", "maker")},
+            ),
+            id="join",
+        ),
+        pytest.param(
+            "concert_db",
+            "SELECT name FROM stadium WHERE location = 'singer age'",
+            ({"stadium"}, {("stadium", "name"), ("stadium", "location")}),
+            id="string_literal",
+        ),
+        pytest.param(
+            "concert_db",
+            "SELECT * FROM singer",
+            ({"singer"}, {("singer", column) for column in _SINGER_COLUMNS}),
+            id="star",
+        ),
+        pytest.param("concert_db", "SELECT T1.name FROM singer T1", ({"singer"}, _NAME),
+                     id="alias_without_as"),
+        pytest.param("concert_db", "SELECT name FROM singer -- stadium capacity",
+                     ({"singer"}, _NAME), id="comment"),
+        pytest.param(
+            "concert_db",
+            "WITH young AS (SELECT name, age FROM singer) SELECT name FROM young WHERE age < 30",
+            ({"singer"}, {("singer", "name"), ("singer", "age")}),
+            id="cte",
+        ),
+        pytest.param("concert_db", "SELECT n FROM (SELECT name AS n FROM singer) AS d",
+                     ({"singer"}, _NAME), id="derived_table"),
+        pytest.param("concert_db", 'SELECT "name" FROM "singer"', ({"singer"}, _NAME),
+                     id="quoted_identifier"),
+        # None: SQLite cannot prepare the query.
+        pytest.param("concert_db", "SELECT ghost_col FROM ghost_table JOIN singer", None,
+                     id="ghost_table"),
+        # Both tables have a maker column, and SQLite refuses the bare name.
+        pytest.param("car_db", f"SELECT maker {_MAKERS_JOIN}", None, id="ambiguous_column"),
+        pytest.param("concert_db", "SELECT 1; DELETE FROM singer", None, id="two_statements"),
+        pytest.param("concert_db", "SELECT name FROM singer\x00", None, id="nul"),
+        pytest.param("concert_db", "SELECT name FROM singer WHERE name = '\ud800'", None,
+                     id="lone_surrogate"),
+    ],
+)
+def test_gold_schema_items(request, db, gold, expected):
+    # Each gold query is asked for twice on one connection: sqlite3 serves a
+    # repeated text from its statement cache, and the reads must be recorded
+    # again all the same.
+    with ReadOnlyConnection(request.getfixturevalue(db)) as connection:
+        assert gold_schema_items(gold, connection) == expected
+        assert gold_schema_items(gold, connection) == expected
 
 
 def test_auc_perfect_separation():

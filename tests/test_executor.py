@@ -20,6 +20,7 @@ from text2sql.executor import (
     ReadOnlyConnection,
     ResultTable,
     _row_sort_key,
+    _rows_equal,
     cells_equal,
     execute_sql,
     is_order_sensitive,
@@ -206,7 +207,7 @@ def test_infinities_equal_themselves_and_not_each_other(concert_db):
 
 def test_unencodable_sql_is_sql_error(concert_db):
     with ReadOnlyConnection(concert_db) as connection:
-        for sql in ("SELECT '\ud800'", "SELECT 1\x00"):
+        for sql in ("SELECT '\ud800'", "SELECT 1\x00", "SELECT 1; DELETE FROM singer"):
             outcome = execute_sql(concert_db, sql, connection=connection)
             assert outcome.status == STATUS_ERROR, sql
         # The shared connection still serves the next statement.
@@ -320,6 +321,115 @@ def test_order_scan_agrees_with_character_oracle():
             rng.choice(pieces) for _ in range(rng.randint(0, 4))
         )
         assert is_order_sensitive(sql) == _oracle_order_sensitive(sql), sql
+
+
+# Statement parts over concert_singer. Every source and select list gives two
+# columns, so any two cores make a compound; each part may hide "order by" in a
+# literal, a quoted identifier, a comment, a subquery, a CTE or a window, none
+# of which orders the statement's rows.
+_ORDER_SOURCES = [
+    "singer",
+    "(SELECT name, age FROM singer ORDER BY age) AS s",
+    "(SELECT name, age FROM singer WHERE name <> ') order by (') AS s",
+    "s",  # a CTE
+]
+_ORDER_CTES = [
+    "WITH s AS (SELECT name, age FROM singer ORDER BY age) ",
+    'WITH "order by" AS (SELECT 1), s AS (SELECT name, age FROM singer) ',
+]
+_ORDER_SELECT_LISTS = [
+    "name, age",
+    'name AS "order by", age',
+    "name AS [order by], age",
+    "name AS `order by`, age",
+    "'order by' AS x, age",
+    "name, row_number() OVER (ORDER BY age)",
+    "name, (SELECT max(capacity) FROM stadium ORDER BY 1 LIMIT 1)",
+]
+_ORDER_FILTERS = [
+    "",
+    " WHERE name <> 'x order by y'",
+    " WHERE age IN (SELECT age FROM singer ORDER BY age)",
+    " /* order by ( */",
+    " -- order by age\n",
+]
+_ORDER_COMPOUNDS = [" UNION ", " UNION ALL ", " EXCEPT ", " INTERSECT "]
+_ORDER_TAILS = [" ORDER BY 2", " order\n by 1 DESC", " ORDER /* by */ BY 2, 1", " ORDER BY 1 LIMIT 3"]
+
+
+@st.composite
+def _sql_with_known_order(draw):
+    """A statement over concert_singer and whether it orders its rows: a
+    top-level ORDER BY comes only from the drawn tail."""
+
+    sources = []
+
+    def core():
+        select_list = draw(st.sampled_from(_ORDER_SELECT_LISTS))
+        sources.append(draw(st.sampled_from(_ORDER_SOURCES)))
+        return f"SELECT {select_list} FROM {sources[-1]}{draw(st.sampled_from(_ORDER_FILTERS))}"
+
+    body = core()
+    for _ in range(draw(st.integers(0, 2))):
+        body += draw(st.sampled_from(_ORDER_COMPOUNDS)) + core()
+    with_cte = "s" in sources or draw(st.booleans())
+    cte = draw(st.sampled_from(_ORDER_CTES)) if with_cte else ""
+    ordered = draw(st.booleans())
+    tail = draw(st.sampled_from(_ORDER_TAILS)) if ordered else draw(st.sampled_from(["", " LIMIT 3"]))
+    return cte + body + tail, ordered
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sql_with_known_order())
+def test_order_scan_matches_composed_statements(concert_db, case):
+    sql, ordered = case
+    with ReadOnlyConnection(concert_db) as connection:
+        connection.get().execute("EXPLAIN " + sql).close()
+    assert is_order_sensitive(sql) is ordered, sql
+
+
+# Any value SQLite hands back: its text holds no lone surrogate, and it turns
+# NaN into NULL.
+_sqlite_values = st.one_of(
+    st.none(),
+    st.integers(-(2**63), 2**63 - 1),
+    st.floats(allow_nan=False),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+    st.binary(max_size=3),
+)
+
+
+def _equal_variant(cell):
+    # The value of the other numeric type that == takes as equal, if any.
+    if isinstance(cell, int) and float(cell) == cell:
+        return float(cell)
+    if isinstance(cell, float) and cell.is_integer():
+        return int(cell)
+    return cell
+
+
+@st.composite
+def _order_sensitive_pairs(draw):
+    width = draw(st.integers(1, 3))
+    rows = [tuple(draw(_sqlite_values) for _ in range(width)) for _ in range(draw(st.integers(0, 4)))]
+    other = [tuple(_equal_variant(c) if draw(st.booleans()) else c for c in row) for row in rows]
+    if other and draw(st.booleans()):
+        other[draw(st.integers(0, len(other) - 1))] = tuple(
+            draw(_sqlite_values) for _ in range(width)
+        )
+    return ResultTable(width, tuple(rows), True), ResultTable(width, tuple(other), True)
+
+
+@settings(max_examples=300)
+@given(_order_sensitive_pairs())
+def test_tuple_equality_implies_tolerant_verdict(pair):
+    # The order-sensitive comparison tries tuple == before the cell-by-cell
+    # tolerant one; it must never say equal where the tolerant one would not.
+    a, b = pair
+    tolerant = all(_rows_equal(x, y) for x, y in zip(a.rows, b.rows))
+    if a.rows == b.rows:
+        assert tolerant
+    assert results_equivalent(a, b) is tolerant
 
 
 # Cells drawn from a grid spaced far beyond the tolerance, so that tolerant

@@ -446,19 +446,26 @@ def test_eval_rescores_what_the_trace_does_not_cover(
 def test_demo_eval_stage_executes_nothing(
     catalog, questions, replay_config, tmp_path, opened_connections, monkeypatch
 ):
+    # The recorded outcomes settle every question; the only connections are
+    # the gold-item ones, one per database, which prepare without executing.
     _generate(catalog, questions, replay_config, tmp_path)
     executed = []
-    execute = evaluation.execute_sql
 
-    def counting_execute(*args, **kwargs):
-        executed.append(args)
-        return execute(*args, **kwargs)
+    def count(owner, name):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(evaluation, "execute_sql", counting_execute)
+        def counting(*args, **kwargs):
+            executed.append((name, args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(evaluation, "execute_sql")
+    count(executor, "_run_statement")
     opened = len(opened_connections)
     predictions = load_predictions(tmp_path / "predictions.json")
     run_eval_stage(catalog, questions, predictions, replay_config, tmp_path)
-    assert len(opened_connections) == opened
+    assert len(opened_connections) - opened == len({q.db_id for q in questions}) == 2
     assert executed == []
     got = (tmp_path / "report.json").read_text()
     assert got == (FIXTURES / "expected_report.json").read_text()
@@ -783,6 +790,27 @@ def test_cli_missing_dataset_file_is_named_error(
     assert str(missing) in err
 
 
+@pytest.mark.parametrize(
+    "flags, env, named",
+    [
+        (["--temperature", "-1"], {}, "temperature must be >= 0"),
+        (["--temperature", "nan"], {}, "temperature must be >= 0"),
+        ([], {"TEXT2SQL_MAX_GENERATION_TOKENS": "0"}, "max_generation_tokens must be >= 1"),
+        ([], {"TEXT2SQL_MAX_RECALL_TOKENS": "0"}, "max_recall_tokens must be >= 1"),
+        ([], {"TEXT2SQL_RETRY_ATTEMPTS": "0"}, "retry_attempts must be >= 1"),
+    ],
+)
+def test_cli_out_of_range_setting_is_config_error(
+    corpus_dir, replay_cache, tmp_path, monkeypatch, capsys, flags, env, named
+):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "arts"
+    rc = main(["run", *_cli_args(corpus_dir, replay_cache, out), *flags])
+    assert named in _fault_line(capsys, rc, 2, prefix="configuration error: ")
+    assert not out.exists()
+
+
 def test_cli_missing_config_file_is_config_error(corpus_dir, replay_cache, tmp_path, capsys):
     missing = tmp_path / "absent.cfg"
     args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts") + ["--config", str(missing)]
@@ -874,6 +902,22 @@ def test_cli_eval_missing_predictions_file_is_named_error(
     err = _fault_line(capsys, main(["eval", *args]), 1)
     assert f"cannot read {missing}" in err
     assert not (tmp_path / "arts" / "report.json").exists()
+
+
+def test_cli_eval_with_link_artifacts_needs_the_databases(
+    corpus_dir, replay_cache, tmp_path, capsys
+):
+    # Every outcome is recorded in the votes, but recall AUC prepares each gold
+    # query on its database.
+    out = tmp_path / "arts"
+    assert main(["run", *_cli_args(corpus_dir, replay_cache, out)]) == 0
+    capsys.readouterr()
+    moved = tmp_path / "corpus"
+    moved.mkdir()
+    for name in ("tables.json", "questions.json"):
+        shutil.copy(corpus_dir / name, moved / name)
+    err = _fault_line(capsys, main(["eval", *_cli_args(moved, replay_cache, out)]), 1)
+    assert "database file not found" in err
 
 
 @pytest.mark.parametrize(
