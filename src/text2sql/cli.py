@@ -13,6 +13,8 @@ from .config import BACKENDS, PipelineConfig, load_config
 from .errors import ConfigurationError, Text2SqlError
 from .evaluation import render_report
 from .pipeline import (
+    LINK_JOURNAL,
+    Journal,
     StageSummary,
     generation_view,
     load_predictions,
@@ -158,7 +160,8 @@ def cmd_dump_prompt(args: argparse.Namespace) -> int:
     question = next((q for q in questions if q.question_id == args.question_id), None)
     if question is None:
         raise ConfigurationError(f"no question with id {args.question_id!r}")
-    view = generation_view(config, args.out, question, catalog[question.db_id])
+    links = Journal(args.out / LINK_JOURNAL) if config.effective_use_linking else None
+    view = generation_view(config, links, question, catalog[question.db_id])
     for message in generation_request(question, view, config).messages:
         print(f"--- {message.role} ---")
         print(message.content)

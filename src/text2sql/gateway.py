@@ -326,8 +326,8 @@ class LiveGateway:
             token_usage = None
             if usage:
                 token_usage = TokenUsage(
-                    prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                    completion_tokens=int(usage.get("completion_tokens", 0)),
+                    prompt_tokens=_token_count(usage, "prompt_tokens"),
+                    completion_tokens=_token_count(usage, "completion_tokens"),
                 )
                 log.debug("token usage: %s", token_usage)
         except (AttributeError, TypeError, ValueError) as exc:
@@ -337,6 +337,13 @@ class LiveGateway:
                 f"backend returned {len(texts)} completions for a request with n={exchange.n}"
             )
         return ChatCompletion(texts=texts, usage=token_usage)
+
+
+def _token_count(usage: dict, key: str) -> int:
+    count = usage.get(key, 0)
+    if type(count) is not int or count < 0:
+        raise ValueError(f"{key} is {count!r}, not a non-negative integer")
+    return count
 
 
 class RecordingGateway:

@@ -1,12 +1,13 @@
 """Batch stages: schema linking, SQL generation, and evaluation.
 
-Each stage writes one JSON artifact per question (atomically, via rename) and
-skips questions whose artifact already exists, so interrupted live runs resume
-cheaply. A question holds one of max_inflight_requests work slots while it
-works, and hands it back while its model call is out, so another question can
-vote while it waits. The live and record backends run twice that many workers,
-one set waiting on POSTs (which ``LiveGateway`` bounds by the same number) and
-one voting; replay runs one worker per slot, as its calls wait on nothing.
+The link and generate stages journal one JSON line per question in
+``link.jsonl`` and ``votes.jsonl`` (see ``Journal``) and skip the questions
+already journaled, so interrupted live runs resume cheaply. A question holds
+one of max_inflight_requests work slots while it works, and hands it back
+while its model call is out, so another question can vote while it waits.
+The live and record backends run twice that many workers, one set waiting on
+POSTs (which ``LiveGateway`` bounds by the same number) and one voting; replay
+runs one worker per slot, as its calls wait on nothing.
 
 EX is scored where the result tables already are: the vote hands back the
 gold query's outcome with its clusters (the gold text is usually one of the
@@ -16,7 +17,7 @@ outcome with the winning cluster's table and records ``gold_sql`` and
 ``outcome`` in the vote trace. The eval stage takes that outcome when the
 trace's SQL and gold query are the ones it is asked to score, and executes
 both queries otherwise (an edited or external predictions file, a changed gold
-query, a trace written before outcomes were recorded).
+query, a trace written before outcomes were recorded, an unreadable journal).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,14 +89,65 @@ def make_gateway(config: PipelineConfig, api_key: str | None = None):
     return live
 
 
-def _dump_json(path: Path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+LINK_JOURNAL = "link.jsonl"
+VOTE_JOURNAL = "votes.jsonl"
+
+
+def _publish(path: Path, text: str) -> None:
+    try:
+        atomic_write_text(path, text)
+    except OSError as exc:
+        raise Text2SqlError(f"cannot write {path}: {exc}") from exc
+
+
+class Journal:
+    """A stage's artifacts at ``path`` (empty when there is none, or when
+    ``fresh``), one compact JSON object per line. ``entries`` maps each line's
+    ``question_id`` to it; the last line for a question wins, and a complete
+    line that is not such an object is a Text2SqlError naming it. Each line
+    is appended with one write and a flush, so an interrupted run leaves at
+    most a torn final line (no newline), which reading ignores and appending
+    cuts off."""
+
+    def __init__(self, path: Path, fresh: bool = False):
+        self.path = path
+        self.entries: dict[str, dict] = {}
+        self._lock = threading.Lock()
+        try:
+            data = b"" if fresh else path.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        except OSError as exc:
+            raise Text2SqlError(f"cannot read {path}: {exc}") from exc
+        self._end = data.rfind(b"\n") + 1  # bytes up to the end of the last complete line
+        for number, line in enumerate(data[: self._end].splitlines(), start=1):
+            try:
+                payload = json.loads(line)
+            except ValueError:
+                payload = None
+            if not isinstance(payload, dict) or not isinstance(payload.get("question_id"), str):
+                raise Text2SqlError(f"{path} line {number}: not a JSON object with a question_id")
+            self.entries[payload["question_id"]] = payload
+
+    @contextmanager
+    def appending(self):
+        """Hold the file open for ``append``, cut back to its complete lines."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "ab") as self._file:
+            self._file.truncate(self._end)
+            yield
+
+    def append(self, payload: dict) -> None:
+        line = json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+        with self._lock:
+            self._file.write(line)
+            self._file.flush()
+            self._end += len(line)
+            self.entries[payload["question_id"]] = payload
 
 
 def _link_artifact(question: Question, linked: LinkedSchema, scores: RecallScores) -> dict:
-    columns: dict[str, dict[str, float]] = {}
-    for (table, column), value in scores.column_scores.items():
-        columns.setdefault(table, {})[column] = value
+    columns = [[table, column, value] for (table, column), value in scores.column_scores.items()]
     fks = [[fk.from_table, fk.from_column, fk.to_table, fk.to_column] for fk in linked.foreign_keys]
     return {
         "question_id": question.question_id,
@@ -108,25 +160,27 @@ def _link_artifact(question: Question, linked: LinkedSchema, scores: RecallScore
     }
 
 
-def _link_from_artifact(payload: dict) -> tuple[LinkedSchema, RecallScores]:
-    linked, scores = payload["linked"], payload["scores"]
-    column_scores = {
-        (table, column): value
-        for table, per_table in scores["columns"].items()
-        for column, value in per_table.items()
-    }
-    return (
-        LinkedSchema(
-            db_id=linked["db_id"],
-            tables=tuple((name, tuple(cols)) for name, cols in linked["tables"]),
-            foreign_keys=tuple(FkRelation(*item) for item in linked["foreign_keys"]),
-        ),
-        RecallScores(table_scores=dict(scores["tables"]), column_scores=column_scores),
-    )
-
-
-_SKIPPED = "skipped"
-_PROCESSED = "processed"
+def _read_link(links: Journal, question: Question) -> tuple[LinkedSchema, RecallScores] | None:
+    """The linked schema and recall scores journaled for a question, if any."""
+    payload = links.entries.get(question.question_id)
+    if payload is None:
+        return None
+    try:
+        linked, scores = payload["linked"], payload["scores"]
+        column_scores = {(table, column): value for table, column, value in scores["columns"]}
+        return (
+            LinkedSchema(
+                db_id=linked["db_id"],
+                tables=tuple((name, tuple(cols)) for name, cols in linked["tables"]),
+                foreign_keys=tuple(FkRelation(*item) for item in linked["foreign_keys"]),
+            ),
+            RecallScores(table_scores=dict(scores["tables"]), column_scores=column_scores),
+        )
+    except (LookupError, TypeError, ValueError, AttributeError, SpiderFormatError) as exc:
+        raise Text2SqlError(
+            f"unreadable artifact in {links.path} for question {question.question_id}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _pool_map(workers: int, fn, items) -> list:
@@ -158,14 +212,13 @@ def _run_stage(
     questions: list[Question],
     gateway,
     config: PipelineConfig,
-    out_dir: Path,
-    artifact_path,
+    journal_path: Path,
     work,
     force: bool,
-) -> StageSummary:
-    """Write ``work(question, schema, gateway)`` as JSON to
-    ``artifact_path(out_dir, question)`` for every question, skipping existing
-    artifacts unless forced.
+) -> tuple[StageSummary, Journal]:
+    """Append ``work(question, schema, gateway)`` to the journal at
+    ``journal_path`` for every question it has no line for, which is every
+    question when forced; the summary, and the journal with every payload.
 
     A question works while it holds one of ``max_inflight_requests`` slots, so
     at most that many run SQLite at once; the gateway ``work`` receives frees
@@ -173,6 +226,8 @@ def _run_stage(
     question's work becomes a named failure in the summary instead of aborting
     the batch.
     """
+    journal = Journal(journal_path, fresh=force)
+    todo = [question for question in questions if question.question_id not in journal.entries]
     slots = threading.BoundedSemaphore(config.max_inflight_requests)
     slot_gateway = _SlotReleasingGateway(gateway, slots)
     # While a question waits on its POST another can hold its slot, so the
@@ -181,9 +236,6 @@ def _run_stage(
     workers = config.max_inflight_requests * (1 if config.backend == "replay" else 2)
 
     def process(question: Question):
-        path = artifact_path(out_dir, question)
-        if path.is_file() and not force:
-            return _SKIPPED
         schema = catalog.get(question.db_id)
         if schema is None:
             return (question.question_id, f"unknown db_id {question.db_id}")
@@ -197,40 +249,16 @@ def _run_stage(
                     "%s stage failed on question %s", name, question.question_id, exc_info=True
                 )
                 return (question.question_id, f"{type(exc).__name__}: {exc}")
-            _dump_json(path, payload)
-        return _PROCESSED
-
-    summary = StageSummary(name)
-    for status in _pool_map(workers, process, questions):
-        if status == _PROCESSED:
-            summary.processed += 1
-        elif status == _SKIPPED:
-            summary.skipped += 1
-        else:
-            summary.failures.append(status)
-    return summary
-
-
-def link_artifact_path(out_dir: Path, question: Question) -> Path:
-    return out_dir / "link" / f"{question.question_id}.json"
-
-
-def _read_artifact(path: Path, parse):
-    """``parse`` applied to the JSON artifact at ``path``, or None when there is
-    none. An artifact that cannot be read or parsed is a Text2SqlError naming it."""
-    if not path.is_file():
+            journal.append(payload)
         return None
+
     try:
-        return parse(json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, ValueError, LookupError, TypeError, AttributeError, SpiderFormatError) as exc:
-        raise Text2SqlError(f"unreadable artifact {path}: {type(exc).__name__}: {exc}") from exc
-
-
-def read_link_artifact(
-    out_dir: Path, question: Question
-) -> tuple[LinkedSchema, RecallScores] | None:
-    """The linked schema and recall scores stored for a question, if any."""
-    return _read_artifact(link_artifact_path(out_dir, question), _link_from_artifact)
+        with journal.appending():
+            failures = [failure for failure in _pool_map(workers, process, todo) if failure]
+    except OSError as exc:
+        raise Text2SqlError(f"cannot write {journal_path}: {exc}") from exc
+    skipped = len(questions) - len(todo)
+    return StageSummary(name, len(todo) - len(failures), skipped, failures), journal
 
 
 def run_link_stage(
@@ -241,43 +269,28 @@ def run_link_stage(
     out_dir: Path,
     force: bool = False,
 ) -> StageSummary:
-    """Write one linking artifact (linked schema + recall scores) per question."""
+    """Journal each question's linked schema and recall scores in link.jsonl."""
 
     def work(question: Question, schema: DatabaseSchema, gateway) -> dict:
         linked, scores = link_schema(schema, question, gateway, config.linking_config())
         return _link_artifact(question, linked, scores)
 
     return _run_stage(
-        "link", catalog, questions, gateway, config, out_dir, link_artifact_path, work, force
-    )
+        "link", catalog, questions, gateway, config, out_dir / LINK_JOURNAL, work, force
+    )[0]
 
 
 def generation_view(
-    config: PipelineConfig, out_dir: Path, question: Question, schema: DatabaseSchema
+    config: PipelineConfig, links: Journal | None, question: Question, schema: DatabaseSchema
 ) -> SchemaView:
-    """The schema a question's generation prompt shows: its linked schema when
-    linking is on, which needs the link artifact, else the full schema."""
+    """The schema a question's generation prompt shows: its linked schema from
+    ``links``, the link journal, when linking is on, else the full schema."""
     if not config.effective_use_linking:
         return schema
-    linked = read_link_artifact(out_dir, question)
+    linked = _read_link(links, question)
     if linked is None:
-        raise Text2SqlError(f"missing linking artifact {link_artifact_path(out_dir, question)}")
+        raise Text2SqlError(f"{links.path} has no line for question {question.question_id}")
     return linked[0]
-
-
-def vote_trace_path(out_dir: Path, question: Question) -> Path:
-    return out_dir / "votes" / f"{question.question_id}.json"
-
-
-def _trace_with_sql(trace: dict) -> dict:
-    if not isinstance(trace["sql"], str):
-        raise TypeError(f"sql is a {type(trace['sql']).__name__}, not a string")
-    return trace
-
-
-def read_vote_trace(out_dir: Path, question: Question) -> dict | None:
-    """The vote trace stored for a question, if any; its ``sql`` is a string."""
-    return _read_artifact(vote_trace_path(out_dir, question), _trace_with_sql)
 
 
 def _vote_trace(question: Question, vote: VoteResult) -> dict:
@@ -301,12 +314,13 @@ def run_generate_stage(
     out_dir: Path,
     force: bool = False,
 ) -> StageSummary:
-    """Produce one voted prediction per question plus a vote-trace artifact,
-    then assemble predictions.json in dataset order. An existing trace that
-    cannot be read is that question's failure and has no prediction."""
+    """Journal each question's vote trace in votes.jsonl, then write its
+    prediction to predictions.json in dataset order. A journaled trace whose
+    sql is not a string is that question's failure and has no prediction."""
+    links = Journal(out_dir / LINK_JOURNAL) if config.effective_use_linking else None
 
     def work(question: Question, schema: DatabaseSchema, gateway) -> dict:
-        view = generation_view(config, out_dir, question, schema)
+        view = generation_view(config, links, question, schema)
         vote = generate_sql(question, view, gateway, schema.sqlite_path, config)
         trace = _vote_trace(question, vote)
         if question.gold_sql is not None:
@@ -317,32 +331,30 @@ def run_generate_stage(
             trace["outcome"] = score_outcome(vote.reference_outcome, winner_table)
         return trace
 
-    summary = _run_stage(
-        "generate", catalog, questions, gateway, config, out_dir, vote_trace_path, work, force
+    summary, votes = _run_stage(
+        "generate", catalog, questions, gateway, config, out_dir / VOTE_JOURNAL, work, force
     )
 
     predictions = []
     for question in questions:
-        try:
-            trace = read_vote_trace(out_dir, question)
-        except Text2SqlError as exc:
-            summary.failures.append((question.question_id, str(exc)))
+        if question.question_id not in votes.entries:
             continue
-        if trace is not None:
-            predictions.append({"question_id": question.question_id, "sql": trace["sql"]})
-    _dump_json(out_dir / "predictions.json", predictions)
+        sql = votes.entries[question.question_id].get("sql")
+        if isinstance(sql, str):
+            predictions.append({"question_id": question.question_id, "sql": sql})
+        else:
+            message = f"vote trace in {votes.path}: sql is a {type(sql).__name__}, not a string"
+            summary.failures.append((question.question_id, message))
+    _publish(out_dir / "predictions.json", json.dumps(predictions, indent=2, sort_keys=True) + "\n")
     return summary
 
 
-def recorded_outcome(out_dir: Path, question: Question, predicted_sql: str) -> str | None:
+def recorded_outcome(votes: Journal, question: Question, predicted_sql: str) -> str | None:
     """The EX outcome the generate stage recorded for this prediction and the
-    question's gold query, or None when the vote trace is missing, unreadable,
-    older than recorded outcomes, or about other SQL."""
-    try:
-        trace = read_vote_trace(out_dir, question)
-    except Text2SqlError:
-        return None
-    if trace is None or trace["sql"] != predicted_sql or trace.get("gold_sql") != question.gold_sql:
+    question's gold query, or None when the vote trace is missing, older than
+    recorded outcomes, or about other SQL."""
+    trace = votes.entries.get(question.question_id, {})
+    if trace.get("sql") != predicted_sql or trace.get("gold_sql") != question.gold_sql:
         return None
     outcome = trace.get("outcome")
     return outcome if outcome in OUTCOMES else None
@@ -375,8 +387,14 @@ def run_eval_stage(
     A prediction takes the outcome its vote trace recorded when there is one
     (see ``recorded_outcome``); the rest execute both queries. Questions
     without a prediction are scored as mismatches. Recall AUC pools the
-    questions with a linking artifact and a gold query SQLite can prepare.
+    questions with a line in link.jsonl and a gold query SQLite can prepare.
     """
+    links = Journal(out_dir / LINK_JOURNAL)
+    try:
+        votes = Journal(out_dir / VOTE_JOURNAL)
+    except Text2SqlError as exc:
+        log.warning("%s; executing every prediction", exc)
+        votes = Journal(out_dir / VOTE_JOURNAL, fresh=True)
     records = []
     settled: list[EvalRecord] = []
     for question in questions:
@@ -392,7 +410,7 @@ def run_eval_stage(
             log.warning("no prediction for question %s; scoring as mismatch", question.question_id)
             predicted, outcome = "", "mismatch"
         else:
-            outcome = recorded_outcome(out_dir, question, predicted)
+            outcome = recorded_outcome(votes, question, predicted)
         if outcome is not None:
             settled.append(
                 EvalRecord(
@@ -423,7 +441,7 @@ def run_eval_stage(
             for db_id, schema in catalog.items()
         }
         for question in questions:
-            linked = read_link_artifact(out_dir, question)
+            linked = _read_link(links, question)
             if linked is None:
                 continue
             gold_items = gold_schema_items(question.gold_sql, connections[question.db_id])
@@ -432,6 +450,6 @@ def run_eval_stage(
     table_auc, column_auc = recall_auc(per_question) if per_question else (None, None)
 
     report = build_report(eval_records, table_auc=table_auc, column_auc=column_auc)
-    atomic_write_text(out_dir / "report.json", render_report(report, "json").decode("utf-8"))
-    atomic_write_text(out_dir / "report.txt", render_report(report, "text").decode("utf-8"))
+    _publish(out_dir / "report.json", render_report(report, "json").decode("utf-8"))
+    _publish(out_dir / "report.txt", render_report(report, "text").decode("utf-8"))
     return report

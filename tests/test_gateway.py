@@ -326,6 +326,15 @@ def test_live_malformed_ok_payload_is_named_gateway_error(payload):
     assert len(session.bodies) == 1
 
 
+@pytest.mark.parametrize("count", ["Infinity", "-5", "1.7", '"3"'])
+def test_live_token_count_that_is_not_a_non_negative_integer_is_named_gateway_error(count):
+    body = f'{{"choices": [{{"message": {{"content": "x"}}}}], "usage": {{"prompt_tokens": {count}}}}}'
+    session = _FakeSession([_FakeResponse(200, text=body)])
+    with pytest.raises(GatewayError, match="^malformed completion payload: prompt_tokens is "):
+        _live(session).complete(_exchange())
+    assert len(session.bodies) == 1
+
+
 def test_live_null_content_reads_as_empty_text():
     payload = {"choices": [{"message": {"content": None}}], "usage": {"completion_tokens": 2}}
     completion = _live(_FakeSession([_FakeResponse(200, payload)])).complete(_exchange())

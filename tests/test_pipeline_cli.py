@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import re
 import shutil
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from text2sql import evaluation, executor, voting
+from text2sql import evaluation, executor, pipeline, voting
 from text2sql.cli import main
 from text2sql.config import BACKENDS, PipelineConfig, load_config
 from text2sql.errors import ConfigurationError
@@ -31,12 +32,13 @@ from text2sql.gateway import (
 )
 from text2sql.minicorpus import ScriptedModel, seed_replay_cache
 from text2sql.pipeline import (
+    LINK_JOURNAL,
+    VOTE_JOURNAL,
     load_predictions,
     make_gateway,
     run_eval_stage,
     run_generate_stage,
     run_link_stage,
-    vote_trace_path,
 )
 from text2sql.prompts import LAYOUT_CLEAR, LAYOUT_COMPLICATED
 
@@ -70,6 +72,12 @@ class CountingGateway:
 @pytest.fixture
 def replay_config(replay_cache):
     return PipelineConfig(backend="replay", cache_dir=replay_cache)
+
+
+def _journal(path):
+    """The payload of each complete line of a stage journal, in order."""
+    text = path.read_text(encoding="utf-8") if path.exists() else ""
+    return [json.loads(line) for line in text[: text.rfind("\n") + 1].splitlines()]
 
 
 def test_defaults_match_published_constants():
@@ -142,10 +150,9 @@ def test_link_stage_writes_one_artifact_per_question(
     summary = run_link_stage(catalog, questions, gateway, replay_config, tmp_path)
     assert summary.ok
     assert summary.processed == len(questions)
-    artifacts = sorted((tmp_path / "link").glob("*.json"))
-    assert len(artifacts) == len(questions)
-    payload = json.loads(artifacts[0].read_text())
-    assert {"question_id", "linked", "scores"} <= payload.keys()
+    lines = _journal(tmp_path / LINK_JOURNAL)
+    assert sorted(p["question_id"] for p in lines) == sorted(q.question_id for q in questions)
+    assert {"question_id", "linked", "scores"} <= lines[0].keys()
 
 
 def test_link_stage_resumes_with_zero_calls(catalog, questions, replay_config, tmp_path):
@@ -335,7 +342,14 @@ def _generate(catalog, questions, config, out, gateway=None):
 
 
 def _trace(out, question):
-    return json.loads(vote_trace_path(out, question).read_text())
+    """The question's vote trace: the last line the vote journal holds for it."""
+    lines = _journal(out / VOTE_JOURNAL)
+    return [line for line in lines if line["question_id"] == question.question_id][-1]
+
+
+def _append_line(journal, line):
+    with journal.open("a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
 
 
 def test_recorded_outcome_equals_score_pair(catalog, questions, replay_config, tmp_path):
@@ -411,6 +425,19 @@ def test_demo_generate_stage_executes_only_the_votes(
     assert got == (FIXTURES / "expected_predictions.json").read_text()
 
 
+def _count_scored_pairs(monkeypatch):
+    """The (predicted, gold) pairs ``evaluation.score_pair`` executes from now on."""
+    scored = []
+    score_pair = evaluation.score_pair
+
+    def counting_score_pair(predicted_sql, gold_sql, db_path, timeout=5.0):
+        scored.append((predicted_sql, gold_sql))
+        return score_pair(predicted_sql, gold_sql, db_path, timeout=timeout)
+
+    monkeypatch.setattr(evaluation, "score_pair", counting_score_pair)
+    return scored
+
+
 def test_eval_rescores_what_the_trace_does_not_cover(
     catalog, questions, replay_config, tmp_path, monkeypatch
 ):
@@ -424,17 +451,10 @@ def test_eval_rescores_what_the_trace_does_not_cover(
     changed[1] = dataclasses.replace(regolded, gold_sql="SELECT 0")
     old_trace = _trace(tmp_path, old)
     del old_trace["outcome"]
-    vote_trace_path(tmp_path, old).write_text(json.dumps(old_trace))
-    vote_trace_path(tmp_path, corrupt).write_text("{not json")
+    _append_line(tmp_path / VOTE_JOURNAL, json.dumps(old_trace))
+    _append_line(tmp_path / VOTE_JOURNAL, json.dumps({**_trace(tmp_path, corrupt), "sql": 5}))
 
-    scored = []
-    score_pair_ = evaluation.score_pair
-
-    def counting_score_pair(predicted_sql, gold_sql, db_path, timeout=5.0):
-        scored.append((predicted_sql, gold_sql))
-        return score_pair_(predicted_sql, gold_sql, db_path, timeout=timeout)
-
-    monkeypatch.setattr(evaluation, "score_pair", counting_score_pair)
+    scored = _count_scored_pairs(monkeypatch)
     report = run_eval_stage(catalog, changed, predictions, replay_config, tmp_path)
     assert sorted(scored) == sorted(
         (predictions[q.question_id], q.gold_sql) for q in (edited, changed[1], old, corrupt)
@@ -759,7 +779,7 @@ def test_cli_dump_prompt_prints_the_request_generate_sends(
     args = _cli_args(corpus_dir, cache_dir, tmp_path / "arts") + flags
     # `run` links only when linking is in effect, as a user would.
     assert main(["run", *args]) == 0
-    assert (tmp_path / "arts" / "link").is_dir() == config.effective_use_linking
+    assert (tmp_path / "arts" / LINK_JOURNAL).is_file() == config.effective_use_linking
     question = questions[0]
     capsys.readouterr()
     assert main(["dump-prompt", *args, "--question-id", question.question_id]) == 0
@@ -776,8 +796,7 @@ def test_cli_dump_prompt_refuses_missing_link_artifact(corpus_dir, replay_cache,
     args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts")
     rc = main(["dump-prompt", *args, "--question-id", "0"])
     err = _fault_line(capsys, rc, 1)
-    assert str(tmp_path / "arts" / "link" / "0.json") in err
-    assert "missing linking artifact" in err
+    assert f"{tmp_path / 'arts' / LINK_JOURNAL} has no line for question 0" in err
 
 
 @pytest.mark.parametrize("absent", ["tables", "questions"])
@@ -955,12 +974,15 @@ def test_cli_eval_scores_questions_absent_from_predictions_as_mismatches(
 def test_cli_corrupt_link_artifact_is_named_error(corpus_dir, replay_cache, tmp_path, capsys):
     args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts")
     assert main(["run", *args]) == 0
-    corrupt = tmp_path / "arts" / "link" / "0.json"
-    corrupt.write_text("{not json")
+    corrupt = tmp_path / "arts" / LINK_JOURNAL
+    lines = corrupt.read_text().splitlines(keepends=True)
+    lines[2] = "{not json\n"
+    corrupt.write_text("".join(lines))
     capsys.readouterr()
-    assert str(corrupt) in _fault_line(capsys, main(["eval", *args]), 1)
+    named = f"{corrupt} line 3: not a JSON object with a question_id"
+    assert named in _fault_line(capsys, main(["eval", *args]), 1)
     rc = main(["dump-prompt", *args, "--question-id", "0"])
-    assert str(corrupt) in _fault_line(capsys, rc, 1)
+    assert named in _fault_line(capsys, rc, 1)
 
 
 def test_cli_generate_lists_unreadable_vote_trace_as_failure(
@@ -969,14 +991,142 @@ def test_cli_generate_lists_unreadable_vote_trace_as_failure(
     args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts")
     assert main(["run", *args]) == 0
     broken = questions[0]
-    corrupt = vote_trace_path(tmp_path / "arts", broken)
-    corrupt.write_text("{not json")
+    corrupt = tmp_path / "arts" / VOTE_JOURNAL
+    _append_line(corrupt, json.dumps({"question_id": broken.question_id, "sql": 5}))
     capsys.readouterr()
     assert main(["generate", *args]) == 1
     captured = capsys.readouterr()
     assert "failed=1" in captured.out
-    assert f"question {broken.question_id}: unreadable artifact {corrupt}" in captured.err
+    named = f"question {broken.question_id}: vote trace in {corrupt}: sql is a int, not a string"
+    assert named in captured.err
     assert "Traceback" not in captured.err
     predicted = load_predictions(tmp_path / "arts" / "predictions.json")
     assert broken.question_id not in predicted
     assert len(predicted) == len(questions) - 1
+
+
+def test_eval_executes_every_prediction_when_the_vote_journal_is_unreadable(
+    catalog, questions, replay_config, tmp_path, monkeypatch
+):
+    _generate(catalog, questions, replay_config, tmp_path)
+    _append_line(tmp_path / VOTE_JOURNAL, "[]")
+    predictions = load_predictions(tmp_path / "predictions.json")
+    scored = _count_scored_pairs(monkeypatch)
+    run_eval_stage(catalog, questions, predictions, replay_config, tmp_path)
+    assert sorted(scored) == sorted((predictions[q.question_id], q.gold_sql) for q in questions)
+    got = (tmp_path / "report.json").read_text()
+    assert got == (FIXTURES / "expected_report.json").read_text()
+
+
+@pytest.mark.parametrize("blocked", ["", "predictions.json", "report.json"])
+def test_cli_unwritable_output_is_named_error(corpus_dir, replay_cache, tmp_path, capsys, blocked):
+    # `--out` is a file, or an output file's path is a directory.
+    out = tmp_path / "arts"
+    if blocked:
+        (out / blocked).mkdir(parents=True)
+    else:
+        out.write_text("")
+    err = _fault_line(capsys, main(["run", *_cli_args(corpus_dir, replay_cache, out)]), 1)
+    assert str(out / (blocked or LINK_JOURNAL)) in err
+
+
+def test_journal_appends_from_many_threads_lose_no_line(tmp_path):
+    path = tmp_path / "stress.jsonl"
+    journal = pipeline.Journal(path)
+
+    def append_many(thread):
+        for index in range(50):
+            journal.append({"question_id": f"{thread}-{index}", "index": index})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with journal.appending():
+            threads = [threading.Thread(target=append_many, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    with journal.appending():  # cuts the file back to the lines it knows of
+        pass
+    assert path.read_bytes().count(b"\n") == len(journal.entries) == 8 * 50
+    assert pipeline.Journal(path).entries == journal.entries
+
+
+class _Crash(Exception):
+    """The process dying in the middle of a journal write."""
+
+
+class _CrashingFile:
+    """A journal file whose ``crash_at``-th write (counted over ``writes``)
+    stops half-way through its line; after it, nothing is written."""
+
+    def __init__(self, handle, writes, crash_at):
+        self._handle = handle
+        self._writes = writes
+        self._crash_at = crash_at
+
+    def write(self, data):
+        index = next(self._writes)
+        if index == self._crash_at:
+            self._handle.write(data[: len(data) // 2])
+            self._handle.flush()
+        if index >= self._crash_at:
+            raise _Crash
+        return self._handle.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+
+def test_resume_after_a_crash_at_every_journal_write(
+    corpus_dir, replay_cache, questions, tmp_path, monkeypatch
+):
+    complete = ReplayGateway.complete
+    stages = (LINK_JOURNAL, VOTE_JOURNAL)
+    for crash_at in range(len(stages) * len(questions)):
+        out = tmp_path / f"crash{crash_at}"
+        args = ["run", *_cli_args(corpus_dir, replay_cache, out)]
+        writes = itertools.count()
+
+        def crashing_open(*args, **kwargs):
+            return _CrashingFile(open(*args, **kwargs), writes, crash_at)
+
+        monkeypatch.setattr(pipeline, "open", crashing_open, raising=False)
+        with pytest.raises(_Crash):
+            main(args)
+        monkeypatch.delattr(pipeline, "open")
+        torn = out / stages[crash_at // len(questions)]
+        assert not torn.read_bytes().endswith(b"\n")
+        journaled = {name: {line["question_id"] for line in _journal(out / name)} for name in stages}
+        assert sum(map(len, journaled.values())) == crash_at
+
+        requested = {name: [] for name in stages}
+
+        def recording_complete(gateway, exchange):
+            content = exchange.messages[-1].content
+            stage = LINK_JOURNAL if content.startswith("Given the database") else VOTE_JOURNAL
+            requested[stage] += [q.question_id for q in questions if f"### {q.text}" in content]
+            return complete(gateway, exchange)
+
+        monkeypatch.setattr(ReplayGateway, "complete", recording_complete)
+        assert main(args) == 0
+        monkeypatch.setattr(ReplayGateway, "complete", complete)
+        for name in stages:
+            assert set(requested[name]) == {q.question_id for q in questions} - journaled[name]
+            assert (out / name).read_bytes().endswith(b"\n")
+            assert sorted(line["question_id"] for line in _journal(out / name)) == sorted(
+                q.question_id for q in questions
+            )
+        for name in ("predictions", "report"):
+            got = (out / f"{name}.json").read_bytes()
+            assert got == (FIXTURES / f"expected_{name}.json").read_bytes(), (crash_at, name)
