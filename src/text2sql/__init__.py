@@ -3,12 +3,9 @@ voting, bias-calibrated prompt construction, n-way SQL sampling with
 execution-consistency voting, and a Spider-format execution-accuracy harness."""
 
 from .catalog import (
-    Column,
     DatabaseSchema,
     FkRelation,
-    LinkedSchema,
     Question,
-    Table,
     load_questions,
     load_spider_tables,
     serialize_clear_layout,
@@ -27,18 +24,15 @@ __all__ = [
     "ChatCompletion",
     "ChatExchange",
     "ChatMessage",
-    "Column",
     "DatabaseSchema",
     "ExecutionOutcome",
     "FkRelation",
-    "LinkedSchema",
     "PipelineConfig",
     "PromptConfig",
     "Question",
     "RecallScores",
     "ResultTable",
     "SqlCandidate",
-    "Table",
     "VoteResult",
     "build_generation_prompt",
     "calibration_history",

@@ -10,41 +10,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Iterable, Sequence
 
 from .errors import SpiderFormatError
 
 DIFFICULTY_LEVELS = ("easy", "medium", "hard", "extra")
-
-
-@dataclass(frozen=True)
-class Column:
-    name: str
-    declared_type: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.name.strip():
-            raise SpiderFormatError("column name is empty")
-
-
-@dataclass(frozen=True)
-class Table:
-    name: str
-    columns: tuple[Column, ...]
-
-    def __post_init__(self) -> None:
-        if not self.columns:
-            raise SpiderFormatError(f"table {self.name!r} has no columns")
-        seen = set()
-        for col in self.columns:
-            key = col.name.lower()
-            if key in seen:
-                raise SpiderFormatError(f"duplicate column {col.name!r} in table {self.name!r}")
-            seen.add(key)
-
-    @property
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
 
 
 @dataclass(frozen=True)
@@ -64,54 +34,43 @@ class FkRelation:
 
 @dataclass(frozen=True)
 class DatabaseSchema:
-    """One database: tables, columns, and foreign-key relations."""
+    """One database, or the subset of it that schema linking recalled: its
+    tables as ``(name, column names)`` pairs in prompt order, and the foreign
+    keys between them. A linked subset keeps a foreign key whose columns it
+    dropped, so only the key's tables must be in the schema."""
 
     db_id: str
-    tables: tuple[Table, ...]
+    tables: tuple[tuple[str, tuple[str, ...]], ...]
     foreign_keys: tuple[FkRelation, ...] = ()
     sqlite_path: Path | None = None
 
     def __post_init__(self) -> None:
         names = set()
-        for table in self.tables:
-            key = table.name.lower()
-            if key in names:
-                raise SpiderFormatError(f"duplicate table {table.name!r} in {self.db_id}")
-            names.add(key)
+        for name, columns in self.tables:
+            if name.lower() in names:
+                raise SpiderFormatError(f"duplicate table {name!r} in {self.db_id}")
+            names.add(name.lower())
+            if not columns:
+                raise SpiderFormatError(f"table {name!r} has no columns")
+            seen = set()
+            for column in columns:
+                if not column.strip():
+                    raise SpiderFormatError(f"table {name!r} has an empty column name")
+                if column.lower() in seen:
+                    raise SpiderFormatError(f"duplicate column {column!r} in table {name!r}")
+                seen.add(column.lower())
         for fk in self.foreign_keys:
-            for tbl, col in ((fk.from_table, fk.from_column), (fk.to_table, fk.to_column)):
-                table = self.find_table(tbl)
-                if table is None or col.lower() not in {c.lower() for c in table.column_names}:
+            for table in (fk.from_table, fk.to_table):
+                if table.lower() not in names:
                     raise SpiderFormatError(
-                        f"foreign key endpoint {tbl}.{col} not found in schema {self.db_id}"
+                        f"foreign key table {table} not found in schema {self.db_id}"
                     )
 
-    def find_table(self, name: str) -> Table | None:
-        wanted = name.lower()
-        for table in self.tables:
-            if table.name.lower() == wanted:
-                return table
-        return None
-
-    @property
-    def table_items(self) -> list[tuple[str, list[str]]]:
-        return [(t.name, t.column_names) for t in self.tables]
-
-
-@dataclass(frozen=True)
-class LinkedSchema:
-    """The recalled subset of a schema: ranked tables/columns plus surviving FKs."""
-
-    db_id: str
-    tables: tuple[tuple[str, tuple[str, ...]], ...]
-    foreign_keys: tuple[FkRelation, ...] = ()
-
-    @property
-    def table_items(self) -> list[tuple[str, list[str]]]:
-        return [(name, list(cols)) for name, cols in self.tables]
-
-
-SchemaView = Union[DatabaseSchema, LinkedSchema]
+    def columns_of(self, table: str) -> tuple[str, ...] | None:
+        """The columns of ``table``, matched case-insensitively; None when the
+        schema has no such table."""
+        wanted = table.lower()
+        return next((cols for name, cols in self.tables if name.lower() == wanted), None)
 
 
 @dataclass(frozen=True)
@@ -128,13 +87,13 @@ class Question:
 
 
 def read_json_file(path: Path) -> Any:
-    """The JSON value in an input file; a file that is missing, unreadable or
-    not JSON is a SpiderFormatError naming it."""
+    """The JSON value in an input file; a file that is missing, unreadable,
+    not JSON or nested too deep to parse is a SpiderFormatError naming it."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SpiderFormatError(f"{path}: malformed JSON at byte offset {exc.pos}: {exc.msg}") from exc
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SpiderFormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -171,10 +130,10 @@ def _schema_from_descriptor(descriptor: dict, path: Path) -> DatabaseSchema:
         if not isinstance(name, str):
             raise SpiderFormatError(f"{path}: {db_id}: table name {idx} is not a string: {name!r}")
     column_pairs = descriptor.get("column_names_original") or descriptor.get("column_names") or []
-    column_types = descriptor.get("column_types") or [""] * len(column_pairs)
 
-    columns_per_table: dict[int, list[Column]] = {i: [] for i in range(len(table_names))}
-    # Global column index -> (table index, name); index 0 is usually the "*" sentinel.
+    columns_per_table: list[list[str]] = [[] for _ in table_names]
+    # Global column index -> (table index, name) of every real column; the
+    # "*" sentinel (usually index 0) is no column a foreign key can name.
     column_ref: dict[int, tuple[int, str]] = {}
     for idx, pair in enumerate(column_pairs):
         if not (
@@ -192,36 +151,38 @@ def _schema_from_descriptor(descriptor: dict, path: Path) -> DatabaseSchema:
                 f"{path}: {db_id}: column entry {idx} names table index {table_idx},"
                 f" but there are {len(table_names)} tables"
             )
-        column_ref[idx] = (table_idx, col_name)
         if table_idx < 0 or col_name == "*":
             continue
-        declared = column_types[idx] if idx < len(column_types) else ""
-        columns_per_table[table_idx].append(Column(col_name, declared))
+        column_ref[idx] = (table_idx, col_name)
+        columns_per_table[table_idx].append(col_name)
 
-    tables = tuple(Table(name, tuple(columns_per_table[i])) for i, name in enumerate(table_names))
-
-    fks = []
+    fk_refs = []
     for entry, pair in enumerate(descriptor.get("foreign_keys") or []):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SpiderFormatError(
                 f"{path}: {db_id}: foreign key entry {entry} is not a"
                 f" [column index, column index] pair: {pair!r}"
             )
-        from_idx, to_idx = pair
-        for idx in (from_idx, to_idx):
-            if idx not in column_ref or not 0 <= column_ref[idx][0] < len(table_names):
+        for idx in pair:
+            if type(idx) is not int or idx not in column_ref:
                 raise SpiderFormatError(
                     f"{path}: {db_id}: foreign key entry {entry} references"
-                    f" dangling column index {idx}"
+                    f" dangling column index {idx!r}"
                 )
-        from_tbl, from_col = column_ref[from_idx]
-        to_tbl, to_col = column_ref[to_idx]
-        fks.append(
-            FkRelation(table_names[from_tbl], from_col, table_names[to_tbl], to_col)
-        )
+        fk_refs.append((column_ref[pair[0]], column_ref[pair[1]]))
 
-    sqlite_path = path.parent / "database" / db_id / f"{db_id}.sqlite"
-    return DatabaseSchema(db_id, tables, tuple(fks), sqlite_path)
+    try:
+        return DatabaseSchema(
+            db_id,
+            tuple(zip(table_names, map(tuple, columns_per_table))),
+            tuple(
+                FkRelation(table_names[from_tbl], from_col, table_names[to_tbl], to_col)
+                for (from_tbl, from_col), (to_tbl, to_col) in fk_refs
+            ),
+            path.parent / "database" / db_id / f"{db_id}.sqlite",
+        )
+    except SpiderFormatError as exc:
+        raise SpiderFormatError(f"{path}: {db_id}: {exc}") from exc
 
 
 def load_questions(path: Path | str) -> list[Question]:
@@ -276,26 +237,25 @@ def format_fk_line(fk: FkRelation) -> str:
     return f"# {fk.from_table}.{fk.from_column} = {fk.to_table}.{fk.to_column}"
 
 
-def serialize_clear_layout(schema_view: SchemaView) -> str:
+def serialize_clear_layout(schema: DatabaseSchema) -> str:
     """Render the "#"-prefixed layout: one ``# table ( cols );`` line per table,
     then one ``# t1.c1 = t2.c2`` line per foreign key."""
-    items = schema_view.table_items
-    if not items:
-        raise ValueError("schema view has no tables")
-    lines = [format_table_line(name, cols, terminator=";") for name, cols in items]
-    lines.extend(format_fk_line(fk) for fk in schema_view.foreign_keys)
+    if not schema.tables:
+        raise ValueError("schema has no tables")
+    lines = [format_table_line(name, cols, terminator=";") for name, cols in schema.tables]
+    lines.extend(format_fk_line(fk) for fk in schema.foreign_keys)
     return "\n".join(lines)
 
 
 COMPLICATED_INSTRUCTION = "Complete sqlite SQL query only and with no explanation."
 
 
-def serialize_complicated_layout(schema: SchemaView, question: Question) -> str:
+def serialize_complicated_layout(schema: DatabaseSchema, question: Question) -> str:
     """Render the run-on layout: instruction, question, and ``table : table.col , ...``
     segments joined by " | ", ending with a bare SELECT."""
     segments = [
         f"{name} : " + " , ".join(f"{name}.{col}" for col in cols)
-        for name, cols in schema.table_items
+        for name, cols in schema.tables
     ]
     context = " | ".join(segments)
     return (

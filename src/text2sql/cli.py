@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -94,12 +95,23 @@ def _load_dataset(args: argparse.Namespace):
     return catalog, questions
 
 
+def _emit(text: str) -> None:
+    """Write ``text`` to stdout now. Once the reader of stdout has left
+    (``text2sql run ... | head -1``), stdout points at os.devnull, so the
+    command still writes its artifacts and no flush raises again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _print_summaries(*summaries: StageSummary) -> int:
     """Print each stage's counts and failures; the exit code they amount to."""
     for summary in summaries:
-        print(
+        _emit(
             f"[{summary.name}] processed={summary.processed} "
-            f"skipped={summary.skipped} failed={len(summary.failures)}"
+            f"skipped={summary.skipped} failed={len(summary.failures)}\n"
         )
         for question_id, message in summary.failures:
             print(f"  question {question_id}: {message}", file=sys.stderr)
@@ -111,7 +123,7 @@ def _eval_and_print(
 ) -> None:
     predictions = load_predictions(predictions_path)
     report = run_eval_stage(catalog, questions, predictions, config, out_dir)
-    sys.stdout.write(render_report(report, "text").decode("utf-8"))
+    _emit(render_report(report, "text").decode("utf-8"))
 
 
 def _stage_command(stage):
@@ -163,8 +175,7 @@ def cmd_dump_prompt(args: argparse.Namespace) -> int:
     links = Journal(args.out / LINK_JOURNAL) if config.effective_use_linking else None
     view = generation_view(config, links, question, catalog[question.db_id])
     for message in generation_request(question, view, config).messages:
-        print(f"--- {message.role} ---")
-        print(message.content)
+        _emit(f"--- {message.role} ---\n{message.content}\n")
     return EXIT_OK
 
 

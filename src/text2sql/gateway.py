@@ -142,7 +142,7 @@ class CacheStore:
                 texts=tuple(entry["texts"]),
                 usage=TokenUsage(**usage) if usage else None,
             )
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
             raise CacheCorruptError(fingerprint, exc) from exc
 
     def store(self, fingerprint: str, exchange: ChatExchange, completion: ChatCompletion) -> None:
@@ -305,7 +305,7 @@ class LiveGateway:
                 raise GatewayError(f"HTTP {response.status_code}: {response.text[:500]}")
             try:
                 payload = response.json()
-            except ValueError:
+            except (ValueError, RecursionError):
                 payload = None
             if not isinstance(payload, dict):
                 raise GatewayError(f"HTTP 200 with non-JSON body: {response.text[:200]}")

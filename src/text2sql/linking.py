@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from json import JSONDecoder
 from typing import Mapping, Sequence
 
-from .catalog import DatabaseSchema, FkRelation, LinkedSchema, Question, format_fk_line, format_table_line
+from .catalog import DatabaseSchema, FkRelation, Question, format_fk_line, format_table_line
 from .errors import LinkingFailure
 from .gateway import ChatExchange, ChatMessage
 
@@ -79,7 +79,7 @@ def build_table_recall_prompt(
     schema: DatabaseSchema, question: Question, config: LinkingConfig = LinkingConfig()
 ) -> ChatExchange:
     """Exchange asking for a full ranked table list."""
-    schema_lines = "\n".join(format_table_line(name, cols) for name, cols in schema.table_items)
+    schema_lines = "\n".join(format_table_line(name, cols) for name, cols in schema.tables)
     return _recall_exchange(TABLE_RECALL_INSTRUCTION, schema_lines, question, config)
 
 
@@ -91,9 +91,9 @@ def build_column_recall_prompt(
 ) -> ChatExchange:
     """Exchange asking for ranked columns of the linked tables, with the
     foreign keys among those tables listed under a "Foreign keys:" header."""
-    tables = [schema.find_table(name) for name in table_names]
+    columns = [(name, schema.columns_of(name)) for name in table_names]
     schema_text = "\n".join(
-        format_table_line(t.name, t.column_names) for t in tables if t is not None
+        format_table_line(name, cols) for name, cols in columns if cols is not None
     )
     fks = restrict_foreign_keys(schema.foreign_keys, table_names)
     if fks:
@@ -122,7 +122,7 @@ def parse_table_list(text: str, schema: DatabaseSchema) -> list[str]:
     Matching is case-insensitive; unknown entries are dropped, duplicates keep
     their first position, and unparseable text yields an empty list.
     """
-    by_lower = {t.name.lower(): t.name for t in schema.tables}
+    by_lower = {name.lower(): name for name, _ in schema.tables}
     start = text.find("[")
     if start < 0:
         return []
@@ -131,7 +131,7 @@ def parse_table_list(text: str, schema: DatabaseSchema) -> list[str]:
     try:
         parsed, _ = decoder.raw_decode(text[start:])
         entries = [item for item in parsed if isinstance(item, str)]
-    except ValueError:
+    except (ValueError, RecursionError):
         end = text.find("]", start)
         segment = text[start : end + 1] if end > start else text[start:]
         entries = _QUOTED_RE.findall(segment)
@@ -182,7 +182,7 @@ def _first_json_object(text: str):
     for match in re.finditer(r"\{", text):
         try:
             parsed, _ = decoder.raw_decode(text[match.start() :])
-        except ValueError:
+        except (ValueError, RecursionError):
             continue
         if isinstance(parsed, dict):
             return parsed
@@ -253,8 +253,8 @@ def link_schema(
     question: Question,
     gateway,
     config: LinkingConfig = LinkingConfig(),
-) -> tuple[LinkedSchema, RecallScores]:
-    """Run both recall steps and assemble the linked sub-schema plus scores.
+) -> tuple[DatabaseSchema, RecallScores]:
+    """Run both recall steps and assemble the linked subset of ``schema`` plus scores.
 
     Gateway errors propagate; a total parse failure falls back to the full
     schema truncated to k_tables tables in schema order.
@@ -264,17 +264,16 @@ def link_schema(
     table_samples = [
         parse_table_list(text, schema)[: config.k_tables] for text in table_completion.texts
     ]
-    table_scores = _frequency_scores(
-        [name for name, _ in schema.table_items], table_samples, len(table_samples)
-    )
+    schema_tables = [name for name, _ in schema.tables]
+    table_scores = _frequency_scores(schema_tables, table_samples, len(table_samples))
 
-    if len(schema.tables) <= config.k_tables:
-        linked_tables = [name for name, _ in schema.table_items]
+    if len(schema_tables) <= config.k_tables:
+        linked_tables = schema_tables
     else:
         try:
             linked_tables = vote_table_sets(table_samples, config.k_tables)
         except LinkingFailure:
-            linked_tables = [name for name, _ in schema.table_items][: config.k_tables]
+            linked_tables = schema_tables[: config.k_tables]
             log.warning(
                 "question %s: table recall unusable, falling back to first %d schema tables",
                 question.question_id,
@@ -283,16 +282,14 @@ def link_schema(
 
     column_exchange = build_column_recall_prompt(schema, linked_tables, question, config)
     column_completion = gateway.complete(column_exchange)
-    linked_table_columns = {
-        name: schema.find_table(name).column_names for name in linked_tables
-    }
+    linked_table_columns = {name: schema.columns_of(name) for name in linked_tables}
     column_samples = [
         parse_column_dict(text, linked_table_columns) for text in column_completion.texts
     ]
     voted_columns = vote_columns(column_samples, config.k_columns, linked_table_columns)
 
     column_scores: dict[tuple[str, str], float] = {}
-    for name, cols in schema.table_items:
+    for name, cols in schema.tables:
         truncated = [
             list(sample.get(name, ()))[: config.k_columns] for sample in column_samples
         ]
@@ -301,7 +298,7 @@ def link_schema(
             column_scores[(name, col)] = score
 
     fks = restrict_foreign_keys(schema.foreign_keys, linked_tables)
-    linked = LinkedSchema(
+    linked = DatabaseSchema(
         db_id=schema.db_id,
         tables=tuple((name, tuple(voted_columns[name])) for name in linked_tables),
         foreign_keys=tuple(fks),

@@ -30,7 +30,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .catalog import DatabaseSchema, FkRelation, LinkedSchema, Question, SchemaView, read_json_file
+from .catalog import DatabaseSchema, FkRelation, Question, read_json_file
 from .config import PipelineConfig, api_key_from_env
 from .errors import ConfigurationError, SpiderFormatError, Text2SqlError
 from .evaluation import (
@@ -123,7 +123,7 @@ class Journal:
         for number, line in enumerate(data[: self._end].splitlines(), start=1):
             try:
                 payload = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 payload = None
             if not isinstance(payload, dict) or not isinstance(payload.get("question_id"), str):
                 raise Text2SqlError(f"{path} line {number}: not a JSON object with a question_id")
@@ -146,7 +146,7 @@ class Journal:
             self.entries[payload["question_id"]] = payload
 
 
-def _link_artifact(question: Question, linked: LinkedSchema, scores: RecallScores) -> dict:
+def _link_artifact(question: Question, linked: DatabaseSchema, scores: RecallScores) -> dict:
     columns = [[table, column, value] for (table, column), value in scores.column_scores.items()]
     fks = [[fk.from_table, fk.from_column, fk.to_table, fk.to_column] for fk in linked.foreign_keys]
     return {
@@ -160,7 +160,7 @@ def _link_artifact(question: Question, linked: LinkedSchema, scores: RecallScore
     }
 
 
-def _read_link(links: Journal, question: Question) -> tuple[LinkedSchema, RecallScores] | None:
+def _read_link(links: Journal, question: Question) -> tuple[DatabaseSchema, RecallScores] | None:
     """The linked schema and recall scores journaled for a question, if any."""
     payload = links.entries.get(question.question_id)
     if payload is None:
@@ -169,7 +169,7 @@ def _read_link(links: Journal, question: Question) -> tuple[LinkedSchema, Recall
         linked, scores = payload["linked"], payload["scores"]
         column_scores = {(table, column): value for table, column, value in scores["columns"]}
         return (
-            LinkedSchema(
+            DatabaseSchema(
                 db_id=linked["db_id"],
                 tables=tuple((name, tuple(cols)) for name, cols in linked["tables"]),
                 foreign_keys=tuple(FkRelation(*item) for item in linked["foreign_keys"]),
@@ -282,7 +282,7 @@ def run_link_stage(
 
 def generation_view(
     config: PipelineConfig, links: Journal | None, question: Question, schema: DatabaseSchema
-) -> SchemaView:
+) -> DatabaseSchema:
     """The schema a question's generation prompt shows: its linked schema from
     ``links``, the link journal, when linking is on, else the full schema."""
     if not config.effective_use_linking:

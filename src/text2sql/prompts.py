@@ -7,8 +7,8 @@ import logging
 from dataclasses import dataclass
 
 from .catalog import (
+    DatabaseSchema,
     Question,
-    SchemaView,
     format_fk_line,
     format_table_line,
     serialize_complicated_layout,
@@ -86,14 +86,14 @@ def calibration_history() -> list[ChatMessage]:
     ]
 
 
-def clear_generation_context(view: SchemaView, include_foreign_keys: bool = True) -> str:
+def clear_generation_context(view: DatabaseSchema, include_foreign_keys: bool = True) -> str:
     """The "#"-bordered schema block used inside the generation prompt.
 
     Table lines carry no terminator here; foreign keys appear as bare
     ``# t1.c1 = t2.c2`` lines inside the same block.
     """
     lines = ["#"]
-    lines.extend(format_table_line(name, cols) for name, cols in view.table_items)
+    lines.extend(format_table_line(name, cols) for name, cols in view.tables)
     if include_foreign_keys:
         lines.extend(format_fk_line(fk) for fk in view.foreign_keys)
     lines.append("#")
@@ -101,7 +101,7 @@ def clear_generation_context(view: SchemaView, include_foreign_keys: bool = True
 
 
 def generation_user_message(
-    view: SchemaView, question: Question, config: PromptConfig
+    view: DatabaseSchema, question: Question, config: PromptConfig
 ) -> str:
     if config.layout == LAYOUT_COMPLICATED:
         return serialize_complicated_layout(view, question)
@@ -117,7 +117,7 @@ def generation_user_message(
 
 
 def build_generation_prompt(
-    view: SchemaView,
+    view: DatabaseSchema,
     question: Question,
     config: PromptConfig,
     *,

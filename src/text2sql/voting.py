@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .catalog import Question, SchemaView
+from .catalog import DatabaseSchema, Question
 from .config import PipelineConfig
 from .executor import (
     STATUS_OVERFLOW,
@@ -191,7 +191,7 @@ def select_final(
 
 
 def generation_request(
-    question: Question, view: SchemaView, config: PipelineConfig
+    question: Question, view: DatabaseSchema, config: PipelineConfig
 ) -> ChatExchange:
     """The SQL-generation request for one question over the given schema view:
     what ``generate_sql`` sends and ``text2sql dump-prompt`` prints."""
@@ -207,7 +207,7 @@ def generation_request(
 
 
 def generate_sql(
-    question: Question, view: SchemaView, gateway, db_path: Path | str, config: PipelineConfig
+    question: Question, view: DatabaseSchema, gateway, db_path: Path | str, config: PipelineConfig
 ) -> VoteResult:
     """Send the question's ``generation_request`` over ``view`` (the linked
     schema, or the full one without linking) and vote on the samples by their

@@ -14,8 +14,8 @@ import time
 from contextlib import contextmanager
 
 from text2sql.catalog import (
+    DatabaseSchema,
     FkRelation,
-    LinkedSchema,
     serialize_clear_layout,
     serialize_complicated_layout,
 )
@@ -67,7 +67,7 @@ def test_criterion_1_golden_prompt_suite(car_schema, concert_schema, questions):
             "complicated_layout_concert_singer.txt"
         )
 
-        view = LinkedSchema(
+        view = DatabaseSchema(
             db_id="concert_singer",
             tables=(
                 ("singer", ("singer_id", "name", "country", "age")),

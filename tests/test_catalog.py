@@ -8,13 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from text2sql.catalog import (
-    Column,
     DatabaseSchema,
     FkRelation,
     Question,
-    Table,
     load_questions,
     load_spider_tables,
+    read_json_file,
     serialize_clear_layout,
     serialize_complicated_layout,
 )
@@ -26,7 +25,7 @@ from conftest import prompt_fixture
 def test_loads_both_databases(catalog):
     assert set(catalog) == {"concert_singer", "car_1"}
     concert = catalog["concert_singer"]
-    assert [t.name for t in concert.tables] == [
+    assert [name for name, _ in concert.tables] == [
         "stadium",
         "singer",
         "concert",
@@ -41,8 +40,8 @@ def test_concert_clear_line_matches_expected(concert_schema):
 
 def test_sentinel_star_column_is_dropped(catalog):
     for schema in catalog.values():
-        for table in schema.tables:
-            assert "*" not in table.column_names
+        for _, columns in schema.tables:
+            assert "*" not in columns
 
 
 def test_foreign_key_indices_resolved_to_names(car_schema):
@@ -81,6 +80,58 @@ def test_dangling_foreign_key_index_names_db(tmp_path):
         load_spider_tables(path)
 
 
+def test_deeply_nested_json_file_is_named_format_error(tmp_path):
+    # Deeper than CPython's C recursion limit on every supported version, so
+    # json raises RecursionError rather than ValueError.
+    path = tmp_path / "tables.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(SpiderFormatError) as excinfo:
+        read_json_file(path)
+    assert str(excinfo.value).startswith(f"cannot read {path}: ")
+
+
+_STAR_AND_A = [[-1, "*"], [0, "a"]]
+
+
+@pytest.mark.parametrize(
+    "descriptor, named",
+    [
+        ({"table_names_original": ["t", "T"], "column_names_original": [*_STAR_AND_A, [1, "b"]]},
+         "duplicate table 'T' in d"),
+        ({"table_names_original": ["t"], "column_names_original": [*_STAR_AND_A, [0, "A"]]},
+         "duplicate column 'A' in table 't'"),
+        ({"table_names_original": ["t", "u"], "column_names_original": _STAR_AND_A},
+         "table 'u' has no columns"),
+        ({"table_names_original": ["t"], "column_names_original": [*_STAR_AND_A, [0, " "]]},
+         "table 't' has an empty column name"),
+        ({"table_names_original": ["t"], "column_names_original": [*_STAR_AND_A, [-1, "ghost"]],
+          "foreign_keys": [[1, 2]]},
+         "foreign key entry 0 references dangling column index 2"),
+        ({"table_names_original": ["t"], "column_names_original": [[0, "*"], [0, "a"]],
+          "foreign_keys": [[1, 0]]},
+         "foreign key entry 0 references dangling column index 0"),
+        ({"table_names_original": ["t"], "column_names_original": _STAR_AND_A,
+          "foreign_keys": [[[1], 1]]},
+         "foreign key entry 0 references dangling column index [1]"),
+    ],
+    ids=[
+        "duplicate-table",
+        "columns-differing-in-case",
+        "table-without-columns",
+        "blank-column-name",
+        "foreign-key-to-no-table",
+        "foreign-key-to-star-entry",
+        "foreign-key-index-not-an-integer",
+    ],
+)
+def test_inconsistent_descriptor_is_named_format_error(tmp_path, descriptor, named):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([{"db_id": "d", **descriptor}]))
+    with pytest.raises(SpiderFormatError) as excinfo:
+        load_spider_tables(path)
+    assert str(excinfo.value) == f"{path}: d: {named}"
+
+
 def test_load_questions_reads_gold_and_assigns_ids(tmp_path):
     path = tmp_path / "dev.json"
     path.write_text(
@@ -114,14 +165,14 @@ def test_mini_corpus_question_count(questions):
 
 
 def test_clear_layout_minimal_single_table():
-    schema = DatabaseSchema("d", (Table("t", (Column("a"),)),))
+    schema = DatabaseSchema("d", (("t", ("a",)),))
     assert serialize_clear_layout(schema) == "# t ( a );"
 
 
 def test_clear_layout_linked_car_block_ends_with_fk(car_schema):
     view = dataclasses.replace(
         car_schema,
-        tables=tuple(t for t in car_schema.tables if t.name != "continents" and t.name != "countries"),
+        tables=tuple(t for t in car_schema.tables if t[0] != "continents" and t[0] != "countries"),
         foreign_keys=tuple(
             fk
             for fk in car_schema.foreign_keys
@@ -143,7 +194,7 @@ def test_complicated_layout_contains_singer_segment(concert_schema, questions):
 
 
 def test_complicated_layout_minimal():
-    schema = DatabaseSchema("d", (Table("t", (Column("a"),)),))
+    schema = DatabaseSchema("d", (("t", ("a",)),))
     question = Question("0", "d", "list a")
     text = serialize_complicated_layout(schema, question)
     assert text.endswith("t : t.a\nSELECT")
@@ -159,7 +210,7 @@ def test_duplicate_table_names_rejected():
     with pytest.raises(SpiderFormatError):
         DatabaseSchema(
             "d",
-            (Table("t", (Column("a"),)), Table("T", (Column("b"),))),
+            (("t", ("a",)), ("T", ("b",))),
         )
 
 
@@ -167,7 +218,7 @@ def test_unresolvable_fk_rejected():
     with pytest.raises(SpiderFormatError):
         DatabaseSchema(
             "d",
-            (Table("t", (Column("a"),)),),
+            (("t", ("a",)),),
             (FkRelation("t", "a", "ghost", "x"),),
         )
 
@@ -189,14 +240,14 @@ def _schemas(draw):
         columns = draw(
             st.lists(_identifier, min_size=1, max_size=5, unique_by=lambda s: s.lower())
         )
-        tables.append(Table(name, tuple(Column(c) for c in columns)))
+        tables.append((name, tuple(columns)))
     return DatabaseSchema("db", tuple(tables))
 
 
 @given(_schemas())
 def test_clear_layout_round_trips_every_name(schema):
     text = serialize_clear_layout(schema)
-    for name, cols in schema.table_items:
+    for name, cols in schema.tables:
         line = next(l for l in text.splitlines() if l.startswith(f"# {name} ("))
         for col in cols:
             assert col in line

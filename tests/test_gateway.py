@@ -167,6 +167,25 @@ def test_replay_corrupt_entry_is_named_failure(tmp_path, corrupt):
     assert cache.path_for(fingerprint).read_text() == corrupt
 
 
+# Deeper than CPython's C recursion limit on every supported version, so json
+# raises RecursionError rather than ValueError.
+_DEEP_JSON = "[" * 100_000
+
+
+def test_deeply_nested_cache_entry_is_corrupt_and_fetched_again(tmp_path):
+    cache = CacheStore(tmp_path)
+    exchange = _exchange()
+    fingerprint = request_fingerprint(exchange)
+    cache.path_for(fingerprint).write_text(_DEEP_JSON)
+    with pytest.raises(CacheCorruptError) as excinfo:
+        ReplayGateway(cache).complete(exchange)
+    assert str(excinfo.value).startswith(f"RecursionError in cache entry for fingerprint {fingerprint}")
+    transport = _StubTransport(("fresh",))
+    assert RecordingGateway(transport, cache).complete(exchange).texts == ("fresh",)
+    assert transport.calls == 1
+    assert cache.load(fingerprint).texts == ("fresh",)
+
+
 def test_cache_entry_carries_request_payload(tmp_path):
     cache = CacheStore(tmp_path)
     exchange = _exchange("inspect me")
@@ -302,6 +321,14 @@ def test_live_non_json_ok_body_is_named_gateway_error(body):
     with pytest.raises(GatewayError) as excinfo:
         _live(session).complete(_exchange())
     assert str(excinfo.value) == f"HTTP 200 with non-JSON body: {body[:200]}"
+    assert len(session.bodies) == 1
+
+
+def test_live_deeply_nested_ok_body_is_named_gateway_error():
+    session = _FakeSession([_FakeResponse(200, text=_DEEP_JSON)])
+    with pytest.raises(GatewayError) as excinfo:
+        _live(session).complete(_exchange())
+    assert str(excinfo.value) == f"HTTP 200 with non-JSON body: {_DEEP_JSON[:200]}"
     assert len(session.bodies) == 1
 
 

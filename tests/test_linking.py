@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from text2sql.catalog import Column, DatabaseSchema, Question, Table
+from text2sql.catalog import DatabaseSchema, Question
 from text2sql.errors import LinkingFailure
 from text2sql.gateway import ChatCompletion
 from text2sql.linking import (
@@ -45,7 +45,7 @@ def test_table_recall_prompt_contains_check_step(concert_schema, questions):
 
 
 def test_table_recall_prompt_single_table_schema():
-    schema = DatabaseSchema("d", (Table("t", (Column("a"),)),))
+    schema = DatabaseSchema("d", (("t", ("a",)),))
     content = build_table_recall_prompt(schema, Question("0", "d", "list a")).messages[0].content
     table_lines = [l for l in content.splitlines() if l.startswith("# ")]
     assert table_lines == ["# t ( a )"]
@@ -257,9 +257,28 @@ def test_link_schema_car_fixture_matches_recall_appendix(car_schema, car_questio
         "cars_data.id = car_names.makeid",
     }
     # Every schema item is scored, recalled or not.
-    assert set(scores.table_scores) == {t.name for t in car_schema.tables}
+    assert set(scores.table_scores) == {name for name, _ in car_schema.tables}
     assert scores.table_scores["continents"] == 0.0
     assert scores.table_scores["car_makers"] == 1.0
+
+
+class _WithDeepSample(_ReplayFromScript):
+    """The demo script's samples plus one nested deeper than CPython's C
+    recursion limit on every supported version, where json raises
+    RecursionError rather than ValueError."""
+
+    DEEP = "[" * 100_000
+
+    def complete(self, exchange):
+        texts = super().complete(exchange).texts
+        return ChatCompletion(texts=(*texts, '{"car_makers": ' + self.DEEP))
+
+
+def test_deeply_nested_recall_sample_is_one_unparseable_sample(car_schema, car_question):
+    assert parse_table_list(_WithDeepSample.DEEP, car_schema) == []
+    assert parse_column_dict('{"t": ' + _WithDeepSample.DEEP, {"t": ["a"]}) == {"t": []}
+    linked, _ = link_schema(car_schema, car_question, _WithDeepSample())
+    assert linked == link_schema(car_schema, car_question, _ReplayFromScript())[0]
 
 
 def test_link_schema_small_schema_links_everything(concert_schema, questions):
@@ -292,10 +311,10 @@ def test_link_schema_total_parse_failure_falls_back(car_schema, car_question, ca
 
 def test_linked_schema_is_substructure(car_schema, car_question):
     linked, _ = link_schema(car_schema, car_question, _ReplayFromScript())
-    table_names = {t.name for t in car_schema.tables}
+    table_names = {name for name, _ in car_schema.tables}
     for name, cols in linked.tables:
         assert name in table_names
-        schema_cols = set(car_schema.find_table(name).column_names)
+        schema_cols = set(car_schema.columns_of(name))
         assert set(cols) <= schema_cols
     schema_fks = set(car_schema.foreign_keys)
     assert set(linked.foreign_keys) <= schema_fks

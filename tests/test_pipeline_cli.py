@@ -4,9 +4,12 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import os
 import re
 import shutil
+import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -17,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from text2sql import evaluation, executor, pipeline, voting
+from text2sql.catalog import DatabaseSchema, FkRelation, Question
 from text2sql.cli import main
 from text2sql.config import BACKENDS, PipelineConfig, load_config
 from text2sql.errors import ConfigurationError
@@ -30,6 +34,7 @@ from text2sql.gateway import (
     RecordingGateway,
     ReplayGateway,
 )
+from text2sql.linking import RecallScores
 from text2sql.minicorpus import ScriptedModel, seed_replay_cache
 from text2sql.pipeline import (
     LINK_JOURNAL,
@@ -983,6 +988,80 @@ def test_cli_corrupt_link_artifact_is_named_error(corpus_dir, replay_cache, tmp_
     assert named in _fault_line(capsys, main(["eval", *args]), 1)
     rc = main(["dump-prompt", *args, "--question-id", "0"])
     assert named in _fault_line(capsys, rc, 1)
+
+
+def test_cli_deeply_nested_journal_line_is_named_error(corpus_dir, replay_cache, tmp_path, capsys):
+    # Deeper than CPython's C recursion limit on every supported version, so
+    # json raises RecursionError rather than ValueError.
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts")
+    assert main(["run", *args]) == 0
+    journal = tmp_path / "arts" / LINK_JOURNAL
+    _append_line(journal, "[" * 100_000)
+    capsys.readouterr()
+    named = f"{journal} line 13: not a JSON object with a question_id"
+    assert named in _fault_line(capsys, main(["run", *args]), 1)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_cli_run_into_a_closed_stdout_ends_quietly(corpus_dir, replay_cache, tmp_path, unbuffered):
+    src = Path(pipeline.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+    out = tmp_path / "arts"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "text2sql.cli", "run", *_cli_args(corpus_dir, replay_cache, out)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr == ""
+    assert result.returncode == 0
+    for name in ("predictions.json", "report.json"):
+        assert (out / name).read_bytes() == (FIXTURES / f"expected_{name}").read_bytes()
+
+
+_names = st.text(min_size=1, max_size=6).filter(str.strip)
+
+
+@st.composite
+def _linked_subsets(draw):
+    """A linked schema and recall scores as ``link_schema`` could return them:
+    foreign keys join linked tables, on columns the subset may have dropped."""
+    unique_names = st.lists(_names, min_size=1, max_size=4, unique_by=str.lower)
+    tables = draw(unique_names)
+    endpoints = st.tuples(st.sampled_from(tables), _names, st.sampled_from(tables), _names)
+    fks = [
+        FkRelation(*ends)
+        for ends in draw(st.lists(endpoints, max_size=3))
+        if (ends[0].lower(), ends[1].lower()) != (ends[2].lower(), ends[3].lower())
+    ]
+    linked = DatabaseSchema(
+        "db", tuple((name, tuple(draw(unique_names))) for name in tables), tuple(fks)
+    )
+    score = st.floats(0.0, 1.0)
+    scores = RecallScores(
+        draw(st.dictionaries(_names, score, max_size=4)),
+        draw(st.dictionaries(st.tuples(_names, _names), score, max_size=4)),
+    )
+    return linked, scores
+
+
+@given(_linked_subsets())
+def test_link_journal_line_reads_back_as_written(linked_and_scores):
+    linked, scores = linked_and_scores
+    question = Question("q", "db", "question text")
+    with tempfile.TemporaryDirectory() as scratch:
+        journal = pipeline.Journal(Path(scratch) / LINK_JOURNAL)
+        with journal.appending():
+            journal.append(pipeline._link_artifact(question, linked, scores))
+        reread = pipeline.Journal(journal.path)
+    assert pipeline._read_link(reread, question) == (linked, scores)
 
 
 def test_cli_generate_lists_unreadable_vote_trace_as_failure(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from text2sql.catalog import FkRelation, LinkedSchema, Question
+from text2sql.catalog import DatabaseSchema, FkRelation, Question
 from text2sql import prompts
 from text2sql.prompts import (
     PromptConfig,
@@ -20,7 +20,7 @@ from conftest import PROMPT_FIXTURES, prompt_fixture
 
 @pytest.fixture(scope="module")
 def c3_linked_view():
-    return LinkedSchema(
+    return DatabaseSchema(
         db_id="concert_singer",
         tables=(
             ("singer", ("singer_id", "name", "country", "age")),
@@ -134,7 +134,7 @@ def test_token_budget_warning(c3_linked_view, count_question, caplog, monkeypatc
     ),
 )
 def test_final_message_always_ends_with_select(use_calibration, include_fks, question_text):
-    view = LinkedSchema("db", (("t", ("a", "b")),))
+    view = DatabaseSchema("db", (("t", ("a", "b")),))
     question = Question("0", "db", question_text)
     config = PromptConfig(use_calibration=use_calibration, include_foreign_keys=include_fks)
     exchange = build_generation_prompt(view, question, config)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from text2sql import executor, voting
-from text2sql.catalog import LinkedSchema, Question
+from text2sql.catalog import DatabaseSchema, Question
 from text2sql.errors import DatabaseMissingError
 from text2sql.evaluation import OUTCOME_GOLD_ERROR, OUTCOME_MATCH, score_outcome
 from text2sql.executor import (
@@ -324,7 +324,7 @@ class _FixedGateway:
 
 @pytest.fixture
 def singer_view():
-    return LinkedSchema("concert_singer", (("singer", ("singer_id", "name", "age")),))
+    return DatabaseSchema("concert_singer", (("singer", ("singer_id", "name", "age")),))
 
 
 @pytest.fixture
