@@ -45,9 +45,5 @@ class CacheCorruptError(GatewayError):
         self.fingerprint = fingerprint
 
 
-class LinkingFailure(Text2SqlError):
-    """Every recall sample was empty; the caller falls back to the full schema."""
-
-
 class DatabaseMissingError(Text2SqlError):
     """The SQLite file for a db_id does not exist; an environment problem, not a query error."""

@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 from .executor import (
     SQL_FAILURES,
     ExecutionOutcome,
-    ReadOnlyConnection,
     ResultTable,
     execute_sql,
+    readonly,
     results_equivalent,
     with_order_sensitivity,
 )
@@ -62,8 +62,8 @@ def score_pair(
     """Outcome of one prediction: both queries run on one read-only
     connection, order sensitivity taken from the gold query. A failing gold
     query flags a dataset/environment problem and still counts against
-    accuracy."""
-    with ReadOnlyConnection(db_path) as connection:
+    accuracy; a missing database file raises."""
+    with readonly(db_path) as connection:
         gold = execute_sql(db_path, gold_sql, timeout=timeout, connection=connection)
         if not gold.ok:
             return OUTCOME_GOLD_ERROR
@@ -125,7 +125,7 @@ def build_report(
 
 
 def gold_schema_items(
-    gold_sql: str, connection: ReadOnlyConnection
+    gold_sql: str, connection: sqlite3.Connection
 ) -> tuple[set[str], set[tuple[str, str]]] | None:
     """The tables and (table, column) pairs the gold query reads, as SQLite
     resolves them while preparing ``EXPLAIN <gold>`` on ``connection``; the
@@ -141,12 +141,11 @@ def gold_schema_items(
                 columns.add((table, column))
         return sqlite3.SQLITE_OK
 
-    conn = connection.get()
     # A fresh authorizer also expires the connection's cached statements, so a
     # gold text prepared before is prepared again and its reads recorded.
-    conn.set_authorizer(record_read)
+    connection.set_authorizer(record_read)
     try:
-        conn.execute("EXPLAIN " + gold_sql).close()
+        connection.execute("EXPLAIN " + gold_sql).close()
     except SQL_FAILURES:
         return None
     return tables, columns

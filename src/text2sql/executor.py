@@ -14,11 +14,13 @@ such integers can sort apart from their tolerance-equal partners, which
 changes a verdict only for tables above TOLERANT_MATCH_MAX_ROWS rows.
 
 A connection lives as long as one unit of work: one question's vote, or one
-scored gold/predicted pair, shares a ReadOnlyConnection, and a bare
-execute_sql call opens and closes its own. Each statement still gets its own
-full deadline. Connections are deliberately not cached per thread or process:
-a measured per-thread cache kept every database's page cache alive and pushed
-peak RSS past the benchmark's bound.
+scored gold/predicted pair, runs in one ``readonly`` block, which opens it on
+entry (so a missing database raises even if no statement runs) and closes it on
+leaving. A bare execute_sql call opens and closes its own for a statement that
+runs. Each statement still gets its own full deadline. Connections are
+deliberately not cached per thread or process: a measured per-thread cache
+kept every database's page cache alive and pushed peak RSS past the
+benchmark's bound.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import re
 import sqlite3
 import time
+from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -163,27 +166,10 @@ def connect_readonly(db_path: Path | str) -> sqlite3.Connection:
     return sqlite3.connect(f"file:{quote(str(db_path))}?mode=ro", uri=True, isolation_level=None)
 
 
-class ReadOnlyConnection:
-    """A read-only connection to one database, shared by the statements of one
-    ``with`` block. It opens at the first statement that runs, so a block
-    whose statements are all refused opens none, and closes on leaving."""
-
-    def __init__(self, db_path: Path | str):
-        self.db_path = db_path
-        self._conn: sqlite3.Connection | None = None
-
-    def __enter__(self) -> "ReadOnlyConnection":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
-    def get(self) -> sqlite3.Connection:
-        if self._conn is None:
-            self._conn = connect_readonly(self.db_path)
-        return self._conn
+def readonly(db_path: Path | str) -> closing[sqlite3.Connection]:
+    """A read-only connection for the statements of one ``with`` block, which
+    closes it on leaving."""
+    return closing(connect_readonly(db_path))
 
 
 def execute_sql(
@@ -191,25 +177,26 @@ def execute_sql(
     sql: str,
     timeout: float = 5.0,
     *,
-    connection: ReadOnlyConnection | None = None,
+    connection: sqlite3.Connection | None = None,
 ) -> ExecutionOutcome:
     """Run one SELECT against the database, materializing the full result set.
 
     Engine errors and text SQLite cannot take (a NUL character, a lone
     surrogate) become SqlError outcomes, running past ``timeout`` seconds
     becomes Timeout, and anything that is not a SELECT/WITH statement is
-    refused. A missing database file is an environment fault and raises when a
-    statement would run. ``connection``, if given, must be to ``db_path``; the
-    statement runs on it instead of on a connection of its own.
+    refused. The statement runs on ``connection``, a ``readonly(db_path)``
+    connection, if given, else on its own; so a refused statement touches no
+    file, and a missing database file, an environment fault, raises only when
+    a statement would run.
     """
     tokens = _depth_zero_tokens(sql)
     if not tokens or tokens[0] not in ("select", "with"):
         return ExecutionOutcome.sql_error("write statement refused")
     order_sensitive = _orders_rows(tokens)
     if connection is None:
-        with ReadOnlyConnection(db_path) as own:
-            return _run_statement(own.get(), sql, timeout, order_sensitive)
-    return _run_statement(connection.get(), sql, timeout, order_sensitive)
+        with readonly(db_path) as own:
+            return _run_statement(own, sql, timeout, order_sensitive)
+    return _run_statement(connection, sql, timeout, order_sensitive)
 
 
 def _run_statement(

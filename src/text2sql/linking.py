@@ -16,7 +16,6 @@ from json import JSONDecoder
 from typing import Mapping, Sequence
 
 from .catalog import DatabaseSchema, FkRelation, Question, format_fk_line, format_table_line
-from .errors import LinkingFailure
 from .gateway import ChatExchange, ChatMessage
 
 log = logging.getLogger(__name__)
@@ -182,8 +181,12 @@ def _first_json_object(text: str):
     for match in re.finditer(r"\{", text):
         try:
             parsed, _ = decoder.raw_decode(text[match.start() :])
-        except (ValueError, RecursionError):
+        except ValueError:
             continue
+        except RecursionError:
+            # Nested past the decoder's limit: unparseable, rather than a
+            # retry as deep at each brace inside the nesting.
+            return None
         if isinstance(parsed, dict):
             return parsed
     return None
@@ -195,18 +198,20 @@ def vote_table_sets(samples: Sequence[Sequence[str]], k_tables: int) -> list[str
     Each sample is truncated to its first k_tables entries and compared as an
     unordered set; frequency ties go to the set whose first occurrence has the
     lower sample index. The returned ordering is the one inside that earliest
-    winning sample. Empty samples cast no vote.
+    winning sample. Empty samples cast no vote, and with no vote the result is
+    empty.
     """
-    truncated = [list(sample[:k_tables]) for sample in samples]
-    votes = [frozenset(name.lower() for name in sample) for sample in truncated if sample]
-    if not votes:
-        raise LinkingFailure("every table-recall sample was empty")
-    counts = Counter(votes)
-    best = max(counts, key=lambda key: (counts[key], -votes.index(key)))
-    for sample in truncated:
-        if sample and frozenset(name.lower() for name in sample) == best:
-            return sample
-    raise AssertionError("winning set lost its source sample")  # pragma: no cover
+    first: dict[frozenset[str], list[str]] = {}
+    counts: Counter[frozenset[str]] = Counter()
+    for sample in samples:
+        top = list(sample[:k_tables])
+        if top:
+            key = frozenset(name.lower() for name in top)
+            first.setdefault(key, top)
+            counts[key] += 1
+    # max keeps the first of equal counts, and a Counter iterates its keys in
+    # first-occurrence order.
+    return first[max(counts, key=counts.__getitem__)] if counts else []
 
 
 def vote_columns(
@@ -265,14 +270,13 @@ def link_schema(
         parse_table_list(text, schema)[: config.k_tables] for text in table_completion.texts
     ]
     schema_tables = [name for name, _ in schema.tables]
-    table_scores = _frequency_scores(schema_tables, table_samples, len(table_samples))
+    table_scores = _frequency_scores(schema_tables, table_samples)
 
     if len(schema_tables) <= config.k_tables:
         linked_tables = schema_tables
     else:
-        try:
-            linked_tables = vote_table_sets(table_samples, config.k_tables)
-        except LinkingFailure:
+        linked_tables = vote_table_sets(table_samples, config.k_tables)
+        if not linked_tables:
             linked_tables = schema_tables[: config.k_tables]
             log.warning(
                 "question %s: table recall unusable, falling back to first %d schema tables",
@@ -293,7 +297,7 @@ def link_schema(
         truncated = [
             list(sample.get(name, ()))[: config.k_columns] for sample in column_samples
         ]
-        per_column = _frequency_scores(cols, truncated, len(column_samples))
+        per_column = _frequency_scores(cols, truncated)
         for col, score in per_column.items():
             column_scores[(name, col)] = score
 
@@ -306,14 +310,12 @@ def link_schema(
     return linked, RecallScores(table_scores=table_scores, column_scores=column_scores)
 
 
-def _frequency_scores(
-    items: Sequence[str], samples: Sequence[Sequence[str]], sample_count: int
-) -> dict[str, float]:
+def _frequency_scores(items: Sequence[str], samples: Sequence[Sequence[str]]) -> dict[str, float]:
     scores = {item: 0.0 for item in items}
-    if sample_count == 0:
+    if not samples:
         return scores
     for sample in samples:
         for entry in sample:
             if entry in scores:
                 scores[entry] += 1.0
-    return {item: count / sample_count for item, count in scores.items()}
+    return {item: count / len(samples) for item, count in scores.items()}

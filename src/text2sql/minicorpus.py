@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import build_catalog, load_questions, load_spider_tables
@@ -349,7 +349,6 @@ BROKEN_SQL = (
     "SELECT name FROM",
 )
 
-GENERATION_SAMPLES = 20
 CORRECT_SAMPLES = 12
 WRONG_SAMPLES = 5
 
@@ -433,14 +432,10 @@ def _generation_texts(script: QuestionScript) -> list[str]:
     return texts
 
 
-@dataclass
 class ScriptedModel:
     """Gateway transport that answers the demo corpus's prompts from a script."""
 
-    calls: list[ChatExchange] = field(default_factory=list)
-
     def complete(self, exchange: ChatExchange) -> ChatCompletion:
-        self.calls.append(exchange)
         content = exchange.messages[-1].content
         script = self._script_for(content)
         if content.startswith("Given the database schema and question"):

@@ -17,7 +17,7 @@ outcome with the winning cluster's table and records ``gold_sql`` and
 ``outcome`` in the vote trace. The eval stage takes that outcome when the
 trace's SQL and gold query are the ones it is asked to score, and executes
 both queries otherwise (an edited or external predictions file, a changed gold
-query, a trace written before outcomes were recorded, an unreadable journal).
+query, an unreadable journal).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .evaluation import (
     render_report,
     score_outcome,
 )
-from .executor import ReadOnlyConnection
+from .executor import readonly
 from .gateway import CacheStore, LiveGateway, RecordingGateway, ReplayGateway, atomic_write_text
 from .linking import RecallScores, link_schema
 from .voting import VoteResult, generate_sql
@@ -160,21 +160,37 @@ def _link_artifact(question: Question, linked: DatabaseSchema, scores: RecallSco
     }
 
 
+def _strings(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise TypeError(f"{value!r} is not an array of strings")
+    return tuple(value)
+
+
+def _score(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+        raise ValueError(f"{value!r} is not a score from 0 to 1")
+    return value
+
+
 def _read_link(links: Journal, question: Question) -> tuple[DatabaseSchema, RecallScores] | None:
-    """The linked schema and recall scores journaled for a question, if any."""
+    """The linked schema and recall scores journaled for a question, if any.
+    Names must be strings, columns an array, and scores numbers from 0 to 1."""
     payload = links.entries.get(question.question_id)
     if payload is None:
         return None
     try:
         linked, scores = payload["linked"], payload["scores"]
-        column_scores = {(table, column): value for table, column, value in scores["columns"]}
+        table_scores = {name: _score(value) for name, value in scores["tables"].items()}
+        column_scores = {
+            _strings([table, column]): _score(value) for table, column, value in scores["columns"]
+        }
         return (
             DatabaseSchema(
                 db_id=linked["db_id"],
-                tables=tuple((name, tuple(cols)) for name, cols in linked["tables"]),
-                foreign_keys=tuple(FkRelation(*item) for item in linked["foreign_keys"]),
+                tables=tuple((name, _strings(cols)) for name, cols in linked["tables"]),
+                foreign_keys=tuple(FkRelation(*_strings(item)) for item in linked["foreign_keys"]),
             ),
-            RecallScores(table_scores=dict(scores["tables"]), column_scores=column_scores),
+            RecallScores(table_scores=table_scores, column_scores=column_scores),
         )
     except (LookupError, TypeError, ValueError, AttributeError, SpiderFormatError) as exc:
         raise Text2SqlError(
@@ -351,8 +367,8 @@ def run_generate_stage(
 
 def recorded_outcome(votes: Journal, question: Question, predicted_sql: str) -> str | None:
     """The EX outcome the generate stage recorded for this prediction and the
-    question's gold query, or None when the vote trace is missing, older than
-    recorded outcomes, or about other SQL."""
+    question's gold query, or None when the vote trace is missing, is about
+    other SQL or holds no known outcome."""
     trace = votes.entries.get(question.question_id, {})
     if trace.get("sql") != predicted_sql or trace.get("gold_sql") != question.gold_sql:
         return None
@@ -435,16 +451,16 @@ def run_eval_stage(
 
     per_question = []
     with ExitStack() as stack:
-        # Opened at a database's first gold query, if any.
-        connections = {
-            db_id: stack.enter_context(ReadOnlyConnection(schema.sqlite_path))
-            for db_id, schema in catalog.items()
-        }
+        connections = {}  # db_id -> connection, opened at the database's first gold query
         for question in questions:
             linked = _read_link(links, question)
             if linked is None:
                 continue
-            gold_items = gold_schema_items(question.gold_sql, connections[question.db_id])
+            connection = connections.get(question.db_id)
+            if connection is None:
+                path = catalog[question.db_id].sqlite_path
+                connection = connections[question.db_id] = stack.enter_context(readonly(path))
+            gold_items = gold_schema_items(question.gold_sql, connection)
             if gold_items is not None:
                 per_question.append((linked[1], *gold_items))
     table_auc, column_auc = recall_auc(per_question) if per_question else (None, None)

@@ -23,9 +23,9 @@ from .executor import (
     STATUS_OVERFLOW,
     STATUS_TIMEOUT,
     ExecutionOutcome,
-    ReadOnlyConnection,
     ResultTable,
     execute_sql,
+    readonly,
     results_equivalent,
 )
 from .gateway import ChatExchange
@@ -122,11 +122,11 @@ def cluster_by_execution(
 
     A repeated text joins the cluster, or takes the discard reason, of its
     first occurrence. Each candidate's own ORDER BY status decides its sequence
-    sensitivity. All texts run on one read-only connection, opened at the first
-    text that runs and closed before returning; each statement gets the full
-    ``timeout``. Clusters come back ordered by descending size, then ascending
-    smallest member index; failed candidates land in the discard list with a
-    reason.
+    sensitivity. All texts run on one read-only connection, opened on entry
+    (a missing database file raises, even when no text would run) and closed
+    before returning; each statement gets the full ``timeout``. Clusters come
+    back ordered by descending size, then ascending smallest member index;
+    failed candidates land in the discard list with a reason.
 
     The third item is ``reference_sql``'s outcome (None without one): kept from
     the candidate execution whose text equals it exactly, else run once more on
@@ -139,7 +139,7 @@ def cluster_by_execution(
     # deterministic and clusters are only appended, so a repeat would land in
     # the same place if it were executed and compared again.
     placed: dict[str, ExecutionCluster | str] = {}
-    with ReadOnlyConnection(db_path) as connection:
+    with readonly(db_path) as connection:
         for candidate in candidates:
             if candidate.unparseable:
                 discarded.append((candidate.sample_index, DISCARD_UNPARSEABLE))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from text2sql import executor
 from text2sql.errors import DatabaseMissingError
-from text2sql.executor import ReadOnlyConnection, execute_sql
+from text2sql.executor import execute_sql, readonly
 from text2sql.evaluation import (
     EvalRecord,
     build_report,
@@ -102,10 +102,10 @@ def test_score_pair_opens_one_connection(concert_db, tmp_path, opened_connection
     for conn in opened_connections:
         with pytest.raises(sqlite3.ProgrammingError, match="closed"):
             conn.execute("SELECT 1")
-    # A refused gold query runs nothing, so it opens nothing, even for a
-    # missing database; a runnable one needs the database.
+    # A pair needs its database when it starts, even when nothing would run.
     missing = tmp_path / "missing.sqlite"
-    assert score_pair("SELECT 1", "DELETE FROM singer", missing) == "gold_error"
+    with pytest.raises(DatabaseMissingError):
+        score_pair("SELECT 1", "DELETE FROM singer", missing)
     assert len(opened_connections) == 3
     with pytest.raises(DatabaseMissingError):
         score_pair("SELECT 1", "SELECT 1", missing)
@@ -190,7 +190,7 @@ def test_gold_schema_items(request, db, gold, expected):
     # Each gold query is asked for twice on one connection: sqlite3 serves a
     # repeated text from its statement cache, and the reads must be recorded
     # again all the same.
-    with ReadOnlyConnection(request.getfixturevalue(db)) as connection:
+    with readonly(request.getfixturevalue(db)) as connection:
         assert gold_schema_items(gold, connection) == expected
         assert gold_schema_items(gold, connection) == expected
 

@@ -17,13 +17,13 @@ from text2sql.executor import (
     STATUS_OVERFLOW,
     STATUS_TIMEOUT,
     TOLERANT_MATCH_MAX_ROWS,
-    ReadOnlyConnection,
     ResultTable,
     _row_sort_key,
     _rows_equal,
     cells_equal,
     execute_sql,
     is_order_sensitive,
+    readonly,
     results_equivalent,
     with_order_sensitivity,
 )
@@ -75,7 +75,7 @@ def test_shared_connection_releases_overflowed_statement(tmp_path):
         writer.execute("CREATE TABLE t (a)")
         writer.executemany("INSERT INTO t VALUES (?)", [(i,) for i in range(2 * MAX_RESULT_ROWS)])
         writer.commit()
-        with ReadOnlyConnection(db) as connection:
+        with readonly(db) as connection:
             outcome = execute_sql(db, "SELECT a FROM t", connection=connection)
             assert outcome.status == STATUS_OVERFLOW
             writer.execute("DELETE FROM t WHERE a > 0")
@@ -206,7 +206,7 @@ def test_infinities_equal_themselves_and_not_each_other(concert_db):
 
 
 def test_unencodable_sql_is_sql_error(concert_db):
-    with ReadOnlyConnection(concert_db) as connection:
+    with readonly(concert_db) as connection:
         for sql in ("SELECT '\ud800'", "SELECT 1\x00", "SELECT 1; DELETE FROM singer"):
             outcome = execute_sql(concert_db, sql, connection=connection)
             assert outcome.status == STATUS_ERROR, sql
@@ -383,8 +383,8 @@ def _sql_with_known_order(draw):
 @given(_sql_with_known_order())
 def test_order_scan_matches_composed_statements(concert_db, case):
     sql, ordered = case
-    with ReadOnlyConnection(concert_db) as connection:
-        connection.get().execute("EXPLAIN " + sql).close()
+    with readonly(concert_db) as connection:
+        connection.execute("EXPLAIN " + sql).close()
     assert is_order_sensitive(sql) is ordered, sql
 
 

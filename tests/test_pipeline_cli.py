@@ -990,6 +990,40 @@ def test_cli_corrupt_link_artifact_is_named_error(corpus_dir, replay_cache, tmp_
     assert named in _fault_line(capsys, rc, 1)
 
 
+def _string_table_score(line):
+    line["scores"]["tables"]["stadium"] = "high"
+
+
+def _string_column_list(line):
+    line["linked"]["tables"][0][1] = "abc"
+
+
+@pytest.mark.parametrize(
+    "command, mistype, named",
+    [
+        ("eval", _string_table_score, "ValueError: 'high' is not a score from 0 to 1"),
+        ("dump-prompt", _string_column_list, "TypeError: 'abc' is not an array of strings"),
+    ],
+    ids=["eval-string-score", "dump-prompt-string-columns"],
+)
+def test_cli_mistyped_link_line_is_named_error(
+    corpus_dir, replay_cache, tmp_path, capsys, command, mistype, named
+):
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts")
+    assert main(["run", *args]) == 0
+    journal = tmp_path / "arts" / LINK_JOURNAL
+    line = next(
+        entry for entry in map(json.loads, journal.read_text().splitlines())
+        if entry["question_id"] == "0"
+    )
+    mistype(line)
+    _append_line(journal, json.dumps(line))
+    capsys.readouterr()
+    rc = main([command, *args, "--question-id", "0"] if command == "dump-prompt" else [command, *args])
+    err = _fault_line(capsys, rc, 1)
+    assert f"unreadable artifact in {journal} for question 0: {named}" in err
+
+
 def test_cli_deeply_nested_journal_line_is_named_error(corpus_dir, replay_cache, tmp_path, capsys):
     # Deeper than CPython's C recursion limit on every supported version, so
     # json raises RecursionError rather than ValueError.

@@ -220,23 +220,28 @@ def test_cluster_opens_one_connection_per_call(concert_db, opened_connections):
             conn.execute("SELECT 1")
 
 
-def test_cluster_opens_no_connection_when_nothing_runs(concert_db, tmp_path, opened_connections):
+def test_cluster_opens_its_connection_even_when_nothing_runs(
+    concert_db, tmp_path, opened_connections
+):
     candidates = _candidates("DELETE FROM singer", "UPDATE singer SET age = 1")
     candidates.append(SqlCandidate(text="", sample_index=2, raw_completion="???"))
+    clusters, discarded, _ = cluster_by_execution(candidates, concert_db)
+    assert clusters == []
+    assert [reason for _, reason in discarded] == [
+        DISCARD_SQL_ERROR, DISCARD_SQL_ERROR, DISCARD_UNPARSEABLE
+    ]
+    # The vote opens its one connection when it starts, and closes it.
+    assert len(opened_connections) == 1
+    with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+        opened_connections[0].execute("SELECT 1")
+    # So a missing database is an environment fault whether or not a statement
+    # would run.
     missing = tmp_path / "missing.sqlite"
-    for db_path in (concert_db, missing):
-        clusters, discarded, _ = cluster_by_execution(candidates, db_path)
-        assert clusters == []
-        assert [reason for _, reason in discarded] == [
-            DISCARD_SQL_ERROR, DISCARD_SQL_ERROR, DISCARD_UNPARSEABLE
-        ]
-    assert opened_connections == []
-    # A missing database is an environment fault as soon as a statement would run.
-    with pytest.raises(DatabaseMissingError):
-        cluster_by_execution(
-            candidates + [SqlCandidate(text="SELECT 1", sample_index=3, raw_completion="")],
-            missing,
-        )
+    runnable = SqlCandidate(text="SELECT 1", sample_index=3, raw_completion="")
+    for block in (candidates, candidates + [runnable]):
+        with pytest.raises(DatabaseMissingError):
+            cluster_by_execution(block, missing)
+    assert len(opened_connections) == 1
 
 
 def test_cluster_order_insensitive_rows_group_together(concert_db):
