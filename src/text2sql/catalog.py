@@ -192,7 +192,9 @@ def load_questions(path: Path | str) -> list[Question]:
     comes from the record's ``query`` field when present. ``question`` and
     ``db_id`` must be non-empty strings, ``query`` and ``difficulty`` strings
     or absent; any other record is a SpiderFormatError naming the file and
-    the record's index.
+    the record's index. So is a record whose ``question_id``, explicit or
+    defaulted, another record already has: every stage keys its journal lines
+    and predictions by that id.
     """
     path = Path(path)
     raw = read_json_file(path)
@@ -200,6 +202,7 @@ def load_questions(path: Path | str) -> list[Question]:
         raise SpiderFormatError(f"{path}: expected a JSON array of question records")
 
     questions = []
+    index_of: dict[str, int] = {}
     for idx, record in enumerate(raw):
         if not isinstance(record, dict):
             raise SpiderFormatError(f"{path}: record {idx} is not a JSON object")
@@ -211,9 +214,16 @@ def load_questions(path: Path | str) -> list[Question]:
         db_id = record.get("db_id")
         if not text or not db_id:
             raise SpiderFormatError(f"{path}: record {idx} is missing question or db_id")
+        question_id = str(record.get("question_id", idx))
+        if question_id in index_of:
+            raise SpiderFormatError(
+                f"{path}: records {index_of[question_id]} and {idx}"
+                f" share question_id {question_id!r}"
+            )
+        index_of[question_id] = idx
         try:
             question = Question(
-                question_id=str(record.get("question_id", idx)),
+                question_id=question_id,
                 db_id=db_id,
                 text=text,
                 gold_sql=record.get("query"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,10 +55,12 @@ class PipelineConfig:
             raise ConfigurationError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.layout not in (LAYOUT_CLEAR, LAYOUT_COMPLICATED):
             raise ConfigurationError(f"unknown layout {self.layout!r}")
-        if self.exec_timeout <= 0:
-            raise ConfigurationError("exec_timeout must be positive")
-        if not self.temperature >= 0:
-            raise ConfigurationError("temperature must be >= 0")
+        # A NaN deadline never fires, and an infinite temperature is no JSON
+        # number in the request body.
+        if not (self.exec_timeout > 0 and math.isfinite(self.exec_timeout)):
+            raise ConfigurationError("exec_timeout must be positive and finite")
+        if not (self.temperature >= 0 and math.isfinite(self.temperature)):
+            raise ConfigurationError("temperature must be >= 0 and finite")
 
     @property
     def effective_n_samples(self) -> int:

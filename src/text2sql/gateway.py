@@ -85,6 +85,16 @@ class ChatCompletion:
     usage: TokenUsage | None = None
 
 
+def _require_n_texts(texts, n: int) -> tuple[str, ...]:
+    """``texts`` as a tuple, when it is a list or tuple of exactly ``n`` strings
+    (the answer to a request with that ``n``); otherwise a ValueError."""
+    if not isinstance(texts, (list, tuple)) or not all(isinstance(text, str) for text in texts):
+        raise ValueError(f"completion texts are not a list of strings: {texts!r:.80}")
+    if len(texts) != n:
+        raise ValueError(f"{len(texts)} completions for a request with n={n}")
+    return tuple(texts)
+
+
 def exchange_payload(exchange: ChatExchange) -> dict:
     """Wire/cache payload for an exchange (OpenAI-compatible field names)."""
     return {
@@ -129,9 +139,10 @@ class CacheStore:
     def path_for(self, fingerprint: str) -> Path:
         return self.directory / f"{fingerprint}.json"
 
-    def load(self, fingerprint: str) -> ChatCompletion | None:
-        """The recorded completion, or None when there is no entry. An entry
-        that does not parse raises CacheCorruptError."""
+    def load(self, fingerprint: str, n: int) -> ChatCompletion | None:
+        """The recorded completion of a request for ``n`` samples, or None when
+        there is no entry. An entry that does not parse, or whose ``texts`` is
+        not ``n`` strings, raises CacheCorruptError."""
         path = self.path_for(fingerprint)
         if not path.is_file():
             return None
@@ -139,7 +150,7 @@ class CacheStore:
             entry = json.loads(path.read_text(encoding="utf-8"))
             usage = entry.get("usage")
             return ChatCompletion(
-                texts=tuple(entry["texts"]),
+                texts=_require_n_texts(entry["texts"], n),
                 usage=TokenUsage(**usage) if usage else None,
             )
         except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
@@ -181,7 +192,7 @@ class ReplayGateway:
 
     def complete(self, exchange: ChatExchange) -> ChatCompletion:
         fingerprint = request_fingerprint(exchange)
-        completion = self.cache.load(fingerprint)
+        completion = self.cache.load(fingerprint, exchange.n)
         if completion is None:
             raise CacheMissError(fingerprint)
         return completion
@@ -319,9 +330,9 @@ class LiveGateway:
     def _parse_response(payload: dict, exchange: ChatExchange) -> ChatCompletion:
         try:
             choices = payload.get("choices") or []
-            texts = tuple(choice.get("message", {}).get("content") or "" for choice in choices)
-            if not all(isinstance(text, str) for text in texts):
-                raise TypeError("message content is not a string")
+            texts = _require_n_texts(
+                [choice.get("message", {}).get("content") or "" for choice in choices], exchange.n
+            )
             usage = payload.get("usage")
             token_usage = None
             if usage:
@@ -332,10 +343,6 @@ class LiveGateway:
                 log.debug("token usage: %s", token_usage)
         except (AttributeError, TypeError, ValueError) as exc:
             raise GatewayError(f"malformed completion payload: {exc}") from exc
-        if len(texts) != exchange.n:
-            raise GatewayError(
-                f"backend returned {len(texts)} completions for a request with n={exchange.n}"
-            )
         return ChatCompletion(texts=texts, usage=token_usage)
 
 
@@ -358,16 +365,16 @@ class RecordingGateway:
         A corrupt cache entry counts as a miss and is overwritten."""
         fingerprint = request_fingerprint(exchange)
         try:
-            cached = self.cache.load(fingerprint)
+            cached = self.cache.load(fingerprint, exchange.n)
         except CacheCorruptError as exc:
             log.warning("%s; fetching again", exc)
             cached = None
         if cached is not None:
             return cached
         completion = self.transport.complete(exchange)
-        if len(completion.texts) != exchange.n:
-            raise GatewayError(
-                f"transport returned {len(completion.texts)} completions for n={exchange.n}"
-            )
+        try:
+            _require_n_texts(completion.texts, exchange.n)
+        except ValueError as exc:
+            raise GatewayError(f"transport returned {exc}") from exc
         self.cache.store(fingerprint, exchange, completion)
         return completion

@@ -12,6 +12,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from json import JSONDecoder
 from typing import Mapping, Sequence
 
@@ -111,6 +112,11 @@ def restrict_foreign_keys(
     ]
 
 
+# A decode that fails can scan the rest of the sample, so a sample of nested
+# objects that never close would cost one such scan per brace. Every sample the
+# demo and the benchmark record decodes at its first brace.
+MAX_OBJECT_DECODES = 32
+
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\n?|```")
 _QUOTED_RE = re.compile(r'["\']([^"\']+)["\']')
 
@@ -177,8 +183,10 @@ def parse_column_dict(
 
 
 def _first_json_object(text: str):
+    """The first JSON object that decodes at one of the first
+    MAX_OBJECT_DECODES braces of ``text``; None when none does."""
     decoder = JSONDecoder()
-    for match in re.finditer(r"\{", text):
+    for match in islice(re.finditer(r"\{", text), MAX_OBJECT_DECODES):
         try:
             parsed, _ = decoder.raw_decode(text[match.start() :])
         except ValueError:

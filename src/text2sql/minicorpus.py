@@ -7,71 +7,18 @@ from __future__ import annotations
 import json
 import sqlite3
 import tempfile
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import build_catalog, load_questions, load_spider_tables
 from .config import PipelineConfig
 from .gateway import CacheStore, ChatCompletion, ChatExchange, RecordingGateway
+from .linking import COLUMN_RECALL_INSTRUCTION, TABLE_RECALL_INSTRUCTION
 from .pipeline import StageSummary, run_generate_stage, run_link_stage
 
 CONCERT_DB = "concert_singer"
 CAR_DB = "car_1"
-
-TABLES_SPEC = [
-    {
-        "db_id": CONCERT_DB,
-        "table_names_original": ["stadium", "singer", "concert", "singer_in_concert"],
-        "column_names_original": [
-            [-1, "*"],
-            [0, "stadium_id"], [0, "location"], [0, "name"], [0, "capacity"],
-            [0, "highest"], [0, "lowest"], [0, "average"],
-            [1, "singer_id"], [1, "name"], [1, "country"], [1, "song_name"],
-            [1, "song_release_year"], [1, "age"], [1, "is_male"],
-            [2, "concert_id"], [2, "concert_name"], [2, "theme"], [2, "stadium_id"], [2, "year"],
-            [3, "concert_id"], [3, "singer_id"],
-        ],
-        "column_types": [
-            "text",
-            "number", "text", "text", "number", "number", "number", "number",
-            "number", "text", "text", "text", "text", "number", "boolean",
-            "number", "text", "text", "number", "text",
-            "number", "number",
-        ],
-        # concert.stadium_id -> stadium.stadium_id, singer_in_concert.singer_id -> singer.singer_id,
-        # singer_in_concert.concert_id -> concert.concert_id
-        "foreign_keys": [[18, 1], [21, 8], [20, 15]],
-    },
-    {
-        "db_id": CAR_DB,
-        "table_names_original": [
-            "continents", "countries", "car_makers", "model_list", "car_names", "cars_data"
-        ],
-        "column_names_original": [
-            [-1, "*"],
-            [0, "contid"], [0, "continent"],
-            [1, "countryid"], [1, "countryname"], [1, "continent"],
-            [2, "id"], [2, "maker"], [2, "fullname"], [2, "country"],
-            [3, "modelid"], [3, "maker"], [3, "model"],
-            [4, "makeid"], [4, "model"], [4, "make"],
-            [5, "id"], [5, "mpg"], [5, "cylinders"], [5, "edispl"],
-            [5, "horsepower"], [5, "weight"], [5, "accelerate"], [5, "year"],
-        ],
-        "column_types": [
-            "text",
-            "number", "text",
-            "number", "text", "number",
-            "number", "text", "text", "number",
-            "number", "number", "text",
-            "number", "text", "text",
-            "number", "number", "number", "number", "number", "number", "number", "number",
-        ],
-        # countries.continent -> continents.contid, car_makers.country -> countries.countryid,
-        # model_list.maker -> car_makers.id, car_names.model -> model_list.model,
-        # cars_data.id -> car_names.makeid
-        "foreign_keys": [[5, 1], [9, 3], [11, 6], [14, 12], [16, 13]],
-    },
-]
 
 CONCERT_DDL = """
 CREATE TABLE stadium (stadium_id INTEGER PRIMARY KEY, location TEXT, name TEXT,
@@ -79,8 +26,9 @@ CREATE TABLE stadium (stadium_id INTEGER PRIMARY KEY, location TEXT, name TEXT,
 CREATE TABLE singer (singer_id INTEGER PRIMARY KEY, name TEXT, country TEXT,
     song_name TEXT, song_release_year TEXT, age INTEGER, is_male INTEGER);
 CREATE TABLE concert (concert_id INTEGER PRIMARY KEY, concert_name TEXT, theme TEXT,
-    stadium_id INTEGER, year TEXT);
-CREATE TABLE singer_in_concert (concert_id INTEGER, singer_id INTEGER);
+    stadium_id INTEGER REFERENCES stadium (stadium_id), year TEXT);
+CREATE TABLE singer_in_concert (concert_id INTEGER REFERENCES concert (concert_id),
+    singer_id INTEGER REFERENCES singer (singer_id));
 """
 
 CONCERT_ROWS = {
@@ -108,12 +56,19 @@ CONCERT_ROWS = {
 
 CAR_DDL = """
 CREATE TABLE continents (contid INTEGER PRIMARY KEY, continent TEXT);
-CREATE TABLE countries (countryid INTEGER PRIMARY KEY, countryname TEXT, continent INTEGER);
-CREATE TABLE car_makers (id INTEGER PRIMARY KEY, maker TEXT, fullname TEXT, country INTEGER);
-CREATE TABLE model_list (modelid INTEGER PRIMARY KEY, maker INTEGER, model TEXT);
-CREATE TABLE car_names (makeid INTEGER PRIMARY KEY, model TEXT, make TEXT);
-CREATE TABLE cars_data (id INTEGER PRIMARY KEY, mpg REAL, cylinders INTEGER, edispl REAL,
-    horsepower INTEGER, weight INTEGER, accelerate REAL, year INTEGER);
+CREATE TABLE countries (countryid INTEGER PRIMARY KEY, countryname TEXT,
+    continent INTEGER REFERENCES continents (contid));
+CREATE TABLE car_makers (id INTEGER PRIMARY KEY, maker TEXT, fullname TEXT,
+    country INTEGER REFERENCES countries (countryid));
+CREATE TABLE model_list (modelid INTEGER PRIMARY KEY, maker INTEGER REFERENCES car_makers (id),
+    model TEXT);
+-- model_list.model is not unique: the key is declared for tables.json, and
+-- nothing turns on PRAGMA foreign_keys, so SQLite never enforces it.
+CREATE TABLE car_names (makeid INTEGER PRIMARY KEY, model TEXT REFERENCES model_list (model),
+    make TEXT);
+CREATE TABLE cars_data (id INTEGER PRIMARY KEY REFERENCES car_names (makeid), mpg REAL,
+    cylinders INTEGER, edispl REAL, horsepower INTEGER, weight INTEGER, accelerate REAL,
+    year INTEGER);
 """
 
 CAR_ROWS = {
@@ -155,19 +110,21 @@ class QuestionScript:
 
     db_id: str
     text: str
-    gold_sql: str
     difficulty: str
     table_ranking: tuple[str, ...]
     column_ranking: dict[str, tuple[str, ...]]
     correct: tuple[str, ...]
     wrong: str
 
+    @property
+    def gold_sql(self) -> str:
+        return self.correct[0]
+
 
 QUESTION_SCRIPTS: tuple[QuestionScript, ...] = (
     QuestionScript(
         CONCERT_DB,
         "How many singers do we have?",
-        "SELECT count(*) FROM singer",
         "easy",
         ("singer", "singer_in_concert", "concert", "stadium"),
         {"singer": ("singer_id", "name", "country", "age", "song_name")},
@@ -177,7 +134,6 @@ QUESTION_SCRIPTS: tuple[QuestionScript, ...] = (
     QuestionScript(
         CONCERT_DB,
         "What is the average age of all singers?",
-        "SELECT avg(age) FROM singer",
         "easy",
         ("singer", "singer_in_concert", "concert", "stadium"),
         {"singer": ("age", "singer_id", "name", "country", "song_name")},
@@ -187,7 +143,6 @@ QUESTION_SCRIPTS: tuple[QuestionScript, ...] = (
     QuestionScript(
         CONCERT_DB,
         "Show name and country for all singers ordered by age from the oldest to the youngest.",
-        "SELECT name, country FROM singer ORDER BY age DESC",
         "medium",
         ("singer", "singer_in_concert", "concert", "stadium"),
         {"singer": ("name", "country", "age", "singer_id", "song_name")},
@@ -200,7 +155,6 @@ QUESTION_SCRIPTS: tuple[QuestionScript, ...] = (
     QuestionScript(
         CONCERT_DB,
         "What are the names of the stadiums with a capacity of at least 5000?",
-        "SELECT name FROM stadium WHERE capacity >= 5000",
         "medium",
         ("stadium", "concert", "singer_in_concert", "singer"),
         {"stadium": ("name", "capacity", "stadium_id", "location", "highest")},
@@ -213,7 +167,6 @@ QUESTION_SCRIPTS: tuple[QuestionScript, ...] = (
     QuestionScript(
         CONCERT_DB,
         "How many concerts were held in the year 2014?",
-        "SELECT count(*) FROM concert WHERE year = '2014'",
         "easy",
         ("concert", "stadium", "singer_in_concert", "singer"),
         {"concert": ("year", "concert_id", "concert_name", "theme", "stadium_id")},
@@ -226,9 +179,6 @@ QUESTION_SCRIPTS: tuple[QuestionScript, ...] = (
     QuestionScript(
         CONCERT_DB,
         "What is the name of the singer who performed in the most concerts?",
-        "SELECT T2.name FROM singer_in_concert AS T1 JOIN singer AS T2 "
-        "ON T1.singer_id = T2.singer_id GROUP BY T2.singer_id "
-        "ORDER BY count(*) DESC LIMIT 1",
         "hard",
         ("singer_in_concert", "singer", "concert", "stadium"),
         {
@@ -248,9 +198,6 @@ QUESTION_SCRIPTS: tuple[QuestionScript, ...] = (
     QuestionScript(
         CAR_DB,
         "What is the name of the different car makers who produced a car in 1970?",
-        "SELECT DISTINCT T1.maker FROM car_makers AS T1 JOIN model_list AS T2 "
-        "ON T1.id = T2.maker JOIN car_names AS T3 ON T2.model = T3.model "
-        "JOIN cars_data AS T4 ON T3.makeid = T4.id WHERE T4.year = 1970",
         "medium",
         ("car_makers", "model_list", "car_names", "cars_data", "countries", "continents"),
         {
@@ -273,7 +220,6 @@ QUESTION_SCRIPTS: tuple[QuestionScript, ...] = (
     QuestionScript(
         CAR_DB,
         "How many countries exist?",
-        "SELECT count(*) FROM countries",
         "easy",
         ("countries", "continents", "car_makers", "model_list", "car_names", "cars_data"),
         {"countries": ("countryid", "countryname", "continent")},
@@ -283,7 +229,6 @@ QUESTION_SCRIPTS: tuple[QuestionScript, ...] = (
     QuestionScript(
         CAR_DB,
         "What is the average weight of cars produced in 1970?",
-        "SELECT avg(weight) FROM cars_data WHERE year = 1970",
         "medium",
         ("cars_data", "car_names", "model_list", "car_makers", "countries", "continents"),
         {"cars_data": ("weight", "year", "id", "mpg", "cylinders")},
@@ -296,7 +241,6 @@ QUESTION_SCRIPTS: tuple[QuestionScript, ...] = (
     QuestionScript(
         CAR_DB,
         "What are the names of all continents?",
-        "SELECT continent FROM continents",
         "easy",
         ("continents", "countries", "car_makers", "model_list", "car_names", "cars_data"),
         {"continents": ("continent", "contid")},
@@ -309,8 +253,6 @@ QUESTION_SCRIPTS: tuple[QuestionScript, ...] = (
     QuestionScript(
         CAR_DB,
         "What is the full name of the maker with the most models?",
-        "SELECT T1.fullname FROM car_makers AS T1 JOIN model_list AS T2 "
-        "ON T1.id = T2.maker GROUP BY T1.id ORDER BY count(*) DESC LIMIT 1",
         "hard",
         ("car_makers", "model_list", "car_names", "cars_data", "countries", "continents"),
         {
@@ -328,8 +270,6 @@ QUESTION_SCRIPTS: tuple[QuestionScript, ...] = (
     QuestionScript(
         CAR_DB,
         "List the distinct horsepower of cars with more than 4 cylinders in descending order.",
-        "SELECT DISTINCT horsepower FROM cars_data WHERE cylinders > 4 "
-        "ORDER BY horsepower DESC",
         "extra",
         ("cars_data", "car_names", "model_list", "car_makers", "countries", "continents"),
         {"cars_data": ("horsepower", "cylinders", "id", "year", "mpg")},
@@ -353,26 +293,49 @@ CORRECT_SAMPLES = 12
 WRONG_SAMPLES = 5
 
 
-def _create_database(path: Path, ddl: str, rows: dict[str, list[tuple]]) -> None:
+def _create_database(dest: Path, db_id: str, ddl: str, rows: dict[str, list[tuple]]) -> dict:
+    """Create db_id's SQLite file under dest and return its tables.json
+    descriptor as SQLite reports it: tables in creation order, columns in
+    declaration order, and foreign keys as global column indices, each table's
+    in the order ``PRAGMA foreign_key_list`` gives (last-declared first)."""
+    path = dest / "database" / db_id / f"{db_id}.sqlite"
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.exists():
         path.unlink()
-    conn = sqlite3.connect(path)
-    try:
+    with closing(sqlite3.connect(path)) as conn:
         conn.executescript(ddl)
         for table, table_rows in rows.items():
             placeholders = ", ".join("?" * len(table_rows[0]))
             conn.executemany(f"INSERT INTO {table} VALUES ({placeholders})", table_rows)
         conn.commit()
-    finally:
-        conn.close()
+        query = "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY rowid"
+        tables = [name for (name,) in conn.execute(query)]
+        columns: list[list] = [[-1, "*"]]
+        keys = []
+        for idx, table in enumerate(tables):
+            columns += [[idx, row[1]] for row in conn.execute(f"PRAGMA table_info({table})")]
+            keys += [
+                ((table, row[3]), (row[2], row[4]))
+                for row in conn.execute(f"PRAGMA foreign_key_list({table})")
+            ]
+    index = {(tables[t], name): i for i, (t, name) in enumerate(columns) if t >= 0}
+    return {
+        "db_id": db_id,
+        "table_names_original": tables,
+        "column_names_original": columns,
+        "foreign_keys": [[index[child], index[parent]] for child, parent in keys],
+    }
 
 
 def build_corpus(dest: Path | str) -> Path:
-    """Write tables.json, questions.json, and both SQLite files under dest."""
+    """Write both SQLite files under dest, then tables.json as SQLite describes
+    them, and questions.json."""
     dest = Path(dest)
-    dest.mkdir(parents=True, exist_ok=True)
-    (dest / "tables.json").write_text(json.dumps(TABLES_SPEC, indent=2) + "\n", encoding="utf-8")
+    descriptors = [
+        _create_database(dest, CONCERT_DB, CONCERT_DDL, CONCERT_ROWS),
+        _create_database(dest, CAR_DB, CAR_DDL, CAR_ROWS),
+    ]
+    (dest / "tables.json").write_text(json.dumps(descriptors, indent=2) + "\n", encoding="utf-8")
 
     questions = [
         {
@@ -384,9 +347,6 @@ def build_corpus(dest: Path | str) -> Path:
         for script in QUESTION_SCRIPTS
     ]
     (dest / "questions.json").write_text(json.dumps(questions, indent=2) + "\n", encoding="utf-8")
-
-    _create_database(dest / "database" / CONCERT_DB / f"{CONCERT_DB}.sqlite", CONCERT_DDL, CONCERT_ROWS)
-    _create_database(dest / "database" / CAR_DB / f"{CAR_DB}.sqlite", CAR_DDL, CAR_ROWS)
     return dest
 
 
@@ -438,9 +398,9 @@ class ScriptedModel:
     def complete(self, exchange: ChatExchange) -> ChatCompletion:
         content = exchange.messages[-1].content
         script = self._script_for(content)
-        if content.startswith("Given the database schema and question"):
+        if content.startswith(TABLE_RECALL_INSTRUCTION):
             texts = _table_recall_texts(script)
-        elif content.startswith("Given the database tables and question"):
+        elif content.startswith(COLUMN_RECALL_INSTRUCTION):
             texts = _column_recall_texts(script)
         else:
             texts = _generation_texts(script)

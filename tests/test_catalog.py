@@ -164,6 +164,80 @@ def test_mini_corpus_question_count(questions):
     assert all(q.gold_sql for q in questions)
 
 
+@pytest.mark.parametrize(
+    "records, named",
+    [
+        ([{"question_id": "q"}, {"question_id": "q"}], "records 0 and 1 share question_id 'q'"),
+        ([{"question_id": 1}, {}], "records 0 and 1 share question_id '1'"),
+        ([{}, {}, {"question_id": "0"}], "records 0 and 2 share question_id '0'"),
+    ],
+    ids=["both-explicit", "explicit-then-default", "default-then-explicit"],
+)
+def test_load_questions_refuses_a_repeated_question_id(tmp_path, records, named):
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps([{"question": "q", "db_id": "d", **r} for r in records]))
+    with pytest.raises(SpiderFormatError) as excinfo:
+        load_questions(path)
+    assert str(excinfo.value) == f"{path}: {named}"
+
+
+# The demo catalog as SQLite describes it. build_corpus reads the foreign keys
+# back with PRAGMA foreign_key_list, which lists a table's keys last-declared
+# first; this pins that order on every SQLite the tests run against.
+_DEMO_CATALOG = [
+    (
+        "concert_singer",
+        (
+            ("stadium", ("stadium_id", "location", "name", "capacity", "highest", "lowest",
+                         "average")),
+            ("singer", ("singer_id", "name", "country", "song_name", "song_release_year",
+                        "age", "is_male")),
+            ("concert", ("concert_id", "concert_name", "theme", "stadium_id", "year")),
+            ("singer_in_concert", ("concert_id", "singer_id")),
+        ),
+        (
+            ("concert", "stadium_id", "stadium", "stadium_id"),
+            ("singer_in_concert", "singer_id", "singer", "singer_id"),
+            ("singer_in_concert", "concert_id", "concert", "concert_id"),
+        ),
+    ),
+    (
+        "car_1",
+        (
+            ("continents", ("contid", "continent")),
+            ("countries", ("countryid", "countryname", "continent")),
+            ("car_makers", ("id", "maker", "fullname", "country")),
+            ("model_list", ("modelid", "maker", "model")),
+            ("car_names", ("makeid", "model", "make")),
+            ("cars_data", ("id", "mpg", "cylinders", "edispl", "horsepower", "weight",
+                           "accelerate", "year")),
+        ),
+        (
+            ("countries", "continent", "continents", "contid"),
+            ("car_makers", "country", "countries", "countryid"),
+            ("model_list", "maker", "car_makers", "id"),
+            ("car_names", "model", "model_list", "model"),
+            ("cars_data", "id", "car_names", "makeid"),
+        ),
+    ),
+]
+
+
+def test_demo_catalog_is_pinned(corpus_dir):
+    loaded = [
+        (
+            schema.db_id,
+            schema.tables,
+            tuple(
+                (fk.from_table, fk.from_column, fk.to_table, fk.to_column)
+                for fk in schema.foreign_keys
+            ),
+        )
+        for schema in load_spider_tables(corpus_dir / "tables.json")
+    ]
+    assert loaded == _DEMO_CATALOG
+
+
 def test_clear_layout_minimal_single_table():
     schema = DatabaseSchema("d", (("t", ("a",)),))
     assert serialize_clear_layout(schema) == "# t ( a );"

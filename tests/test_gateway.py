@@ -135,7 +135,13 @@ def test_recording_is_cache_first(tmp_path):
     assert transport.calls == 1
 
 
-_CORRUPT_ENTRIES = ["{not json", "", "[1, 2]", '{"texts": 3}', '{"usage": null}']
+# The last four parse, but their texts do not answer a request for one sample:
+# strings (which would replay as one sample per character), none, and two.
+_CORRUPT_ENTRIES = [
+    "{not json", "", "[1, 2]", '{"texts": 3}', '{"usage": null}',
+    '{"texts": "x"}', '{"texts": "SELECT count(*) FROM singer"}', '{"texts": []}',
+    '{"texts": ["a", "b"]}',
+]
 
 
 @pytest.mark.parametrize("corrupt", _CORRUPT_ENTRIES)
@@ -150,7 +156,7 @@ def test_recording_treats_corrupt_entry_as_miss(tmp_path, caplog, corrupt):
     assert completion.texts == ("fresh",)
     assert transport.calls == 1
     assert fingerprint in caplog.text
-    assert cache.load(fingerprint).texts == ("fresh",)
+    assert cache.load(fingerprint, 1).texts == ("fresh",)
     assert list(tmp_path.iterdir()) == [cache.path_for(fingerprint)]
 
 
@@ -165,6 +171,18 @@ def test_replay_corrupt_entry_is_named_failure(tmp_path, corrupt):
     assert excinfo.value.fingerprint == fingerprint
     assert fingerprint in str(excinfo.value)
     assert cache.path_for(fingerprint).read_text() == corrupt
+
+
+class _OneTextTransport:
+    def complete(self, exchange):
+        return ChatCompletion(texts=("one",))
+
+
+def test_recording_refuses_a_transport_answer_without_n_texts(tmp_path):
+    cache = CacheStore(tmp_path)
+    with pytest.raises(GatewayError, match="transport returned 1 completions .*n=3"):
+        RecordingGateway(_OneTextTransport(), cache).complete(_exchange(n=3))
+    assert cache.fingerprints() == []
 
 
 # Deeper than CPython's C recursion limit on every supported version, so json
@@ -183,7 +201,7 @@ def test_deeply_nested_cache_entry_is_corrupt_and_fetched_again(tmp_path):
     transport = _StubTransport(("fresh",))
     assert RecordingGateway(transport, cache).complete(exchange).texts == ("fresh",)
     assert transport.calls == 1
-    assert cache.load(fingerprint).texts == ("fresh",)
+    assert cache.load(fingerprint, 1).texts == ("fresh",)
 
 
 def test_cache_entry_carries_request_payload(tmp_path):
@@ -390,7 +408,7 @@ def test_cache_store_threadsafe_writes(tmp_path):
         t.start()
     for t in threads:
         t.join()
-    assert cache.load(fingerprint).texts == ("t",)
+    assert cache.load(fingerprint, 1).texts == ("t",)
     assert cache.fingerprints() == [fingerprint]
 
 

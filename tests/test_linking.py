@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from text2sql.catalog import DatabaseSchema, Question
 from text2sql.gateway import ChatCompletion
 from text2sql.linking import (
+    MAX_OBJECT_DECODES,
     build_column_recall_prompt,
     build_table_recall_prompt,
     link_schema,
@@ -281,12 +282,21 @@ def test_deeply_nested_recall_sample_is_one_unparseable_sample(car_schema, car_q
 
 
 def test_column_recall_sample_of_deep_prefixes_parses_in_under_a_second():
-    # Each of the 40 000 braces opens a decode that nests to the recursion
-    # limit; retrying at every one took seconds.
-    sample = '{"a":' * 40_000
-    start = time.perf_counter()
-    assert parse_column_dict(sample, {"a": ["x"], "b": ["y"]}) == {"a": [], "b": []}
-    assert time.perf_counter() - start < 1.0
+    # In the first sample each of the 40 000 braces opens a decode that nests
+    # to the recursion limit; retrying at every one took seconds. In the
+    # second (180 KB) each of the 36 000 braces opens a decode that fails only
+    # at the end of its 900-deep run, which also took seconds.
+    for sample in ('{"a":' * 40_000, ('{"a":' * 900 + "1]") * 40):
+        start = time.perf_counter()
+        assert parse_column_dict(sample, {"a": ["x"], "b": ["y"]}) == {"a": [], "b": []}
+        assert time.perf_counter() - start < 1.0
+
+
+def test_column_recall_object_is_sought_at_the_first_max_object_decodes_braces():
+    columns = {"a": ["x"]}
+    found = "{ " * (MAX_OBJECT_DECODES - 1) + '{"a": ["x"]}'
+    assert parse_column_dict(found, columns) == {"a": ["x"]}
+    assert parse_column_dict("{ " + found, columns) == {"a": []}
 
 
 def test_link_schema_small_schema_links_everything(concert_schema, questions):

@@ -714,6 +714,15 @@ def test_replay_backend_never_needs_network(replay_cache):
     assert isinstance(gateway, ReplayGateway)
 
 
+def _generation_fingerprint(store, question):
+    """The fingerprint of the cached generation request for ``question``."""
+    return next(
+        fp
+        for fp in store.fingerprints()
+        if f"\n### {question.text}\nSELECT" in store.load_request(fp)["messages"][-1]["content"]
+    )
+
+
 def test_cli_run_survives_corrupt_cache_entry(
     corpus_dir, replay_cache, questions, tmp_path, capsys
 ):
@@ -721,11 +730,7 @@ def test_cli_run_survives_corrupt_cache_entry(
     shutil.copytree(replay_cache, cache_dir)
     broken = questions[0]
     store = CacheStore(cache_dir)
-    fingerprint = next(
-        fp
-        for fp in store.fingerprints()
-        if f"\n### {broken.text}\nSELECT" in store.load_request(fp)["messages"][-1]["content"]
-    )
+    fingerprint = _generation_fingerprint(store, broken)
     store.path_for(fingerprint).write_text("{not json")
     rc = main(
         [
@@ -742,6 +747,27 @@ def test_cli_run_survives_corrupt_cache_entry(
     report = json.loads((tmp_path / "arts" / "report.json").read_text())
     assert report["total"] == len(questions)
     assert report["counts"]["mismatch"] == 1
+
+
+def test_cli_replay_of_cache_entry_without_n_texts_fails_its_question(
+    corpus_dir, replay_cache, questions, tmp_path, capsys
+):
+    cache_dir = tmp_path / "cache"
+    shutil.copytree(replay_cache, cache_dir)
+    broken = questions[0]
+    store = CacheStore(cache_dir)
+    fingerprint = _generation_fingerprint(store, broken)
+    entry = json.loads(store.path_for(fingerprint).read_text())
+    entry["texts"] = entry["texts"][0]  # a string: one sample per character if replayed
+    store.path_for(fingerprint).write_text(json.dumps(entry))
+    rc = main(["run", *_cli_args(corpus_dir, cache_dir, tmp_path / "arts")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    named = f"question {broken.question_id}: ValueError in cache entry for fingerprint {fingerprint}"
+    assert named in err
+    predictions = json.loads((tmp_path / "arts" / "predictions.json").read_text())
+    assert [p["question_id"] for p in predictions] == [q.question_id for q in questions[1:]]
 
 
 def _cli_args(corpus_dir, cache_dir, out_dir, tables=None, questions=None):
@@ -822,6 +848,9 @@ def test_cli_missing_dataset_file_is_named_error(
         ([], {"TEXT2SQL_MAX_GENERATION_TOKENS": "0"}, "max_generation_tokens must be >= 1"),
         ([], {"TEXT2SQL_MAX_RECALL_TOKENS": "0"}, "max_recall_tokens must be >= 1"),
         ([], {"TEXT2SQL_RETRY_ATTEMPTS": "0"}, "retry_attempts must be >= 1"),
+        (["--temperature", "inf"], {}, "temperature must be >= 0 and finite"),
+        ([], {"TEXT2SQL_EXEC_TIMEOUT": "nan"}, "exec_timeout must be positive and finite"),
+        ([], {"TEXT2SQL_EXEC_TIMEOUT": "inf"}, "exec_timeout must be positive and finite"),
     ],
 )
 def test_cli_out_of_range_setting_is_config_error(
@@ -916,6 +945,17 @@ def test_cli_mistyped_question_field_is_named_error(
     args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts", questions=path)
     err = _fault_line(capsys, main(["run", *args]), 1)
     assert f"{path}: record 1: {named}" in err
+
+
+def test_cli_repeated_question_id_is_named_error(corpus_dir, replay_cache, tmp_path, capsys):
+    records = json.loads((corpus_dir / "questions.json").read_text())
+    records[0]["question_id"] = records[1]["question_id"] = "q"
+    path = tmp_path / "questions.json"
+    path.write_text(json.dumps(records))
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts", questions=path)
+    err = _fault_line(capsys, main(["run", *args]), 1)
+    assert f"{path}: records 0 and 1 share question_id 'q'" in err
+    assert not (tmp_path / "arts").exists()
 
 
 def test_cli_eval_missing_predictions_file_is_named_error(
