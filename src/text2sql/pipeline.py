@@ -2,12 +2,15 @@
 
 The link and generate stages journal one JSON line per question in
 ``link.jsonl`` and ``votes.jsonl`` (see ``Journal``) and skip the questions
-already journaled, so interrupted live runs resume cheaply. A question holds
-one of max_inflight_requests work slots while it works, and hands it back
-while its model call is out, so another question can vote while it waits.
-The live and record backends run twice that many workers, one set waiting on
-POSTs (which ``LiveGateway`` bounds by the same number) and one voting; replay
-runs one worker per slot, as its calls wait on nothing.
+already journaled, so interrupted live runs resume cheaply. The live and
+record backends work on threads: a question holds one of
+max_inflight_requests work slots while it works, and hands it back while its
+model call is out, so another question can vote while it waits. Twice that
+many threads run, one set waiting on POSTs (which ``LiveGateway`` bounds by
+the same number) and one voting. A replayed call waits on nothing, so replay's
+work is Python that threads cannot overlap: each stage forks up to
+max_inflight_requests worker processes instead, and the parent appends what
+they send back, so it stays the only journal writer.
 
 EX is scored where the result tables already are: the vote hands back the
 gold query's outcome with its clusters (the gold text is usually one of the
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
@@ -222,6 +226,98 @@ class _SlotReleasingGateway:
             self._slots.acquire()
 
 
+def _threaded_answers(
+    config: PipelineConfig, todo: list[Question], answer, gateway, journal: Journal
+) -> dict[int, str]:
+    """Append ``answer(question, gateway)`` to ``journal`` for every question
+    in ``todo`` on threads; the failure messages by index into ``todo``.
+
+    A question works while it holds one of ``max_inflight_requests`` slots, so
+    at most that many run SQLite at once; the gateway ``answer`` receives frees
+    the slot for the length of each completion.
+    """
+    slots = threading.BoundedSemaphore(config.max_inflight_requests)
+    slot_gateway = _SlotReleasingGateway(gateway, slots)
+
+    def process(question: Question) -> str | None:
+        with slots:
+            result = answer(question, slot_gateway)
+            if isinstance(result, str):
+                return result
+            journal.append(result)
+        return None
+
+    # While a question waits on its POST another can hold its slot, so the
+    # network backends need a thread for each.
+    workers = config.max_inflight_requests * (1 if config.backend == "replay" else 2)
+    messages = enumerate(_pool_map(workers, process, todo))
+    return {index: message for index, message in messages if message}
+
+
+def _forked_answers(
+    workers: int, todo: list[Question], answer, gateway, journal: Journal
+) -> dict[int, str]:
+    """Append ``answer(question, gateway)`` to ``journal`` for every question
+    in ``todo`` on ``workers`` forked processes; the failure messages by index
+    into ``todo``.
+
+    Child ``k`` takes questions ``k``, ``k + workers``, ... and sends
+    ``(index, answer)`` down its own pipe for each. The parent appends each
+    payload as it arrives, so it stays the only journal writer. A child that
+    exits before answering its whole shard fails each unanswered question with
+    its exit code. Every child is joined before this returns or raises, and
+    terminated first if it is still running.
+    """
+    # Imported here: importing multiprocessing takes a tenth of the set-up time.
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    context = multiprocessing.get_context("fork")
+
+    def serve(sender, shard: range) -> None:
+        for index in shard:
+            sender.send((index, answer(todo[index], gateway)))
+
+    children = {}  # receiving end -> (process, indices it has not answered)
+    failures: dict[int, str] = {}
+    try:
+        for first in range(workers):
+            shard = range(first, len(todo), workers)
+            receiver, sender = context.Pipe(duplex=False)
+            with sender:  # the parent's copy closes, so the child's exit reads as EOF
+                process = context.Process(target=serve, args=(sender, shard))
+                try:
+                    process.start()
+                except OSError as exc:
+                    raise Text2SqlError(f"cannot start a worker process: {exc}") from exc
+            children[receiver] = (process, set(shard))
+        pending = dict(children)
+        while pending:
+            for receiver in wait(list(pending)):
+                process, unanswered = pending[receiver]
+                try:
+                    index, result = receiver.recv()
+                except EOFError:
+                    del pending[receiver]
+                    process.join()
+                    for index in unanswered:
+                        failures[index] = f"worker exited with code {process.exitcode}"
+                    continue
+                unanswered.discard(index)
+                if isinstance(result, str):
+                    failures[index] = result
+                else:
+                    journal.append(result)
+    finally:
+        for process, _ in children.values():
+            if process.is_alive():
+                process.terminate()
+        for receiver, (process, _) in children.items():
+            process.join()
+            receiver.close()
+    return failures
+
+
 def _run_stage(
     name: str,
     catalog: dict[str, DatabaseSchema],
@@ -235,44 +331,43 @@ def _run_stage(
     """Append ``work(question, schema, gateway)`` to the journal at
     ``journal_path`` for every question it has no line for, which is every
     question when forced; the summary, and the journal with every payload.
+    An exception from one question's work becomes a named failure in the
+    summary instead of aborting the batch; failures are in question order.
 
-    A question works while it holds one of ``max_inflight_requests`` slots, so
-    at most that many run SQLite at once; the gateway ``work`` receives frees
-    the slot for the length of each completion. An exception from one
-    question's work becomes a named failure in the summary instead of aborting
-    the batch.
+    The live and record backends work on threads (``_threaded_answers``).
+    Replay forks one worker process per work slot, or per question when there
+    are fewer (``_forked_answers``), and starts no thread before it forks; it
+    takes the thread path when there is one worker to run, or where the
+    platform cannot fork.
     """
     journal = Journal(journal_path, fresh=force)
     todo = [question for question in questions if question.question_id not in journal.entries]
-    slots = threading.BoundedSemaphore(config.max_inflight_requests)
-    slot_gateway = _SlotReleasingGateway(gateway, slots)
-    # While a question waits on its POST another can hold its slot, so the
-    # network backends need a worker for each. A replay completion is a cache
-    # read that waits on nothing; extra workers would only contend for the GIL.
-    workers = config.max_inflight_requests * (1 if config.backend == "replay" else 2)
 
-    def process(question: Question):
+    def answer(question: Question, gateway) -> dict | str:
+        """The question's payload, or the message naming its failure."""
         schema = catalog.get(question.db_id)
         if schema is None:
-            return (question.question_id, f"unknown db_id {question.db_id}")
-        with slots:
-            try:
-                payload = work(question, schema, slot_gateway)
-            except Text2SqlError as exc:
-                return (question.question_id, str(exc))
-            except Exception as exc:
-                log.debug(
-                    "%s stage failed on question %s", name, question.question_id, exc_info=True
-                )
-                return (question.question_id, f"{type(exc).__name__}: {exc}")
-            journal.append(payload)
-        return None
+            return f"unknown db_id {question.db_id}"
+        try:
+            return work(question, schema, gateway)
+        except Text2SqlError as exc:
+            return str(exc)
+        except Exception as exc:
+            log.debug(
+                "%s stage failed on question %s", name, question.question_id, exc_info=True
+            )
+            return f"{type(exc).__name__}: {exc}"
 
+    forks = min(config.max_inflight_requests, len(todo))
     try:
         with journal.appending():
-            failures = [failure for failure in _pool_map(workers, process, todo) if failure]
+            if config.backend == "replay" and forks > 1 and hasattr(os, "fork"):
+                failed = _forked_answers(forks, todo, answer, gateway, journal)
+            else:
+                failed = _threaded_answers(config, todo, answer, gateway, journal)
     except OSError as exc:
         raise Text2SqlError(f"cannot write {journal_path}: {exc}") from exc
+    failures = [(todo[index].question_id, failed[index]) for index in sorted(failed)]
     skipped = len(questions) - len(todo)
     return StageSummary(name, len(todo) - len(failures), skipped, failures), journal
 

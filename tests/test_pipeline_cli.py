@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -52,26 +53,55 @@ from test_gateway import _FakeResponse
 
 
 class CountingGateway:
+    """Counts calls, and the most in flight at once, in shared memory, so
+    calls made in a replay stage's forked workers count too."""
+
     def __init__(self, inner, delay=0.0):
         self.inner = inner
         self.delay = delay
-        self.calls = 0
-        self.active = 0
-        self.max_active = 0
-        self._lock = threading.Lock()
+        self._calls = multiprocessing.Value("i", 0, lock=False)
+        self._active = multiprocessing.Value("i", 0, lock=False)
+        self._max_active = multiprocessing.Value("i", 0, lock=False)
+        self._lock = multiprocessing.Lock()
+
+    @property
+    def calls(self):
+        return self._calls.value
+
+    @property
+    def max_active(self):
+        return self._max_active.value
 
     def complete(self, exchange):
         with self._lock:
-            self.calls += 1
-            self.active += 1
-            self.max_active = max(self.max_active, self.active)
+            self._calls.value += 1
+            self._active.value += 1
+            self._max_active.value = max(self._max_active.value, self._active.value)
         try:
             if self.delay:
                 time.sleep(self.delay)
             return self.inner.complete(exchange)
         finally:
             with self._lock:
-                self.active -= 1
+                self._active.value -= 1
+
+
+class _CallLog:
+    """One JSON line appended to ``path`` per recorded call, so calls made in
+    a replay stage's forked workers reach the test."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def add(self, kind, *fields):
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps([kind, *fields]) + "\n")
+
+    def read(self, kind):
+        """The fields of every call of ``kind``, in the order they were recorded."""
+        text = self.path.read_text(encoding="utf-8") if self.path.exists() else ""
+        lines = [json.loads(line) for line in text.splitlines()]
+        return [tuple(fields) for recorded, *fields in lines if recorded == kind]
 
 
 @pytest.fixture
@@ -385,47 +415,50 @@ def test_recorded_outcome_equals_score_pair(catalog, questions, replay_config, t
 
 
 def test_demo_generate_stage_executes_only_the_votes(
-    catalog, questions, replay_config, tmp_path, opened_connections, monkeypatch
+    catalog, questions, replay_config, tmp_path, monkeypatch
 ):
     # Each vote runs its distinct candidate texts and, only when it is none of
     # them, the gold query, all on one connection; nothing runs after it.
     gateway = make_gateway(replay_config)
     assert run_link_stage(catalog, questions, gateway, replay_config, tmp_path).ok
-    expected = []
+    calls = _CallLog(tmp_path / "calls.jsonl")
     cluster = voting.cluster_by_execution
 
     def watched_cluster(candidates, db_path, timeout=5.0, *, reference_sql=None):
         texts = list(dict.fromkeys(c.text for c in candidates if not c.unparseable))
         if reference_sql not in texts:
             texts.append(reference_sql)
-        expected.extend((str(db_path), text) for text in texts)
+        for text in texts:
+            calls.add("expected", str(db_path), text)
         return cluster(candidates, db_path, timeout, reference_sql=reference_sql)
-
-    calls: dict[str, list] = {}
 
     def count(owner, name):
         original = getattr(owner, name)
-        made = calls[f"{owner.__name__}.{name}"] = []
+        kind = f"{owner.__name__}.{name}"
 
         def counting(*args, **kwargs):
             outcome = original(*args, **kwargs)
-            made.append((str(args[0]), args[1], outcome.message))
+            calls.add(kind, str(args[0]), args[1], outcome.message)
             return outcome
 
         monkeypatch.setattr(owner, name, counting)
 
+    def counting_connect(db_path, connect=executor.connect_readonly):
+        calls.add("connect", str(db_path))
+        return connect(db_path)
+
     count(voting, "execute_sql")
     count(evaluation, "execute_sql")
     count(executor, "_run_statement")
+    monkeypatch.setattr(executor, "connect_readonly", counting_connect)
     monkeypatch.setattr(voting, "cluster_by_execution", watched_cluster)
-    opened = len(opened_connections)
     assert run_generate_stage(catalog, questions, gateway, replay_config, tmp_path).ok
-    voted = calls["text2sql.voting.execute_sql"]
-    assert calls["text2sql.evaluation.execute_sql"] == []
-    assert sorted((db, sql) for db, sql, _ in voted) == sorted(expected)
+    voted = calls.read("text2sql.voting.execute_sql")
+    assert calls.read("text2sql.evaluation.execute_sql") == []
+    assert sorted((db, sql) for db, sql, _ in voted) == sorted(calls.read("expected"))
     refused = sum(message == "write statement refused" for *_, message in voted)
-    assert len(calls["text2sql.executor._run_statement"]) == len(voted) - refused
-    assert len(opened_connections) - opened == len(questions)
+    assert len(calls.read("text2sql.executor._run_statement")) == len(voted) - refused
+    assert len(calls.read("connect")) == len(questions)
     got = (tmp_path / "predictions.json").read_text()
     assert got == (FIXTURES / "expected_predictions.json").read_text()
 
@@ -1257,25 +1290,29 @@ def test_resume_after_a_crash_at_every_journal_write(
         monkeypatch.setattr(pipeline, "open", crashing_open, raising=False)
         with pytest.raises(_Crash):
             main(args)
+        assert multiprocessing.active_children() == []
         monkeypatch.delattr(pipeline, "open")
         torn = out / stages[crash_at // len(questions)]
         assert not torn.read_bytes().endswith(b"\n")
         journaled = {name: {line["question_id"] for line in _journal(out / name)} for name in stages}
         assert sum(map(len, journaled.values())) == crash_at
 
-        requested = {name: [] for name in stages}
+        requested = _CallLog(tmp_path / f"requested{crash_at}.jsonl")
 
         def recording_complete(gateway, exchange):
             content = exchange.messages[-1].content
             stage = LINK_JOURNAL if content.startswith("Given the database") else VOTE_JOURNAL
-            requested[stage] += [q.question_id for q in questions if f"### {q.text}" in content]
+            for question in questions:
+                if f"### {question.text}" in content:
+                    requested.add(stage, question.question_id)
             return complete(gateway, exchange)
 
         monkeypatch.setattr(ReplayGateway, "complete", recording_complete)
         assert main(args) == 0
         monkeypatch.setattr(ReplayGateway, "complete", complete)
         for name in stages:
-            assert set(requested[name]) == {q.question_id for q in questions} - journaled[name]
+            asked = {question_id for (question_id,) in requested.read(name)}
+            assert asked == {q.question_id for q in questions} - journaled[name]
             assert (out / name).read_bytes().endswith(b"\n")
             assert sorted(line["question_id"] for line in _journal(out / name)) == sorted(
                 q.question_id for q in questions
@@ -1283,3 +1320,94 @@ def test_resume_after_a_crash_at_every_journal_write(
         for name in ("predictions", "report"):
             got = (out / f"{name}.json").read_bytes()
             assert got == (FIXTURES / f"expected_{name}.json").read_bytes(), (crash_at, name)
+
+
+def test_a_worker_that_dies_fails_its_unanswered_questions(
+    corpus_dir, catalog, questions, replay_config, tmp_path, monkeypatch, capsys
+):
+    # Four forked workers take the twelve questions round-robin, so the one
+    # that dies at question 5 leaves questions 5 and 9 unanswered.
+    assert replay_config.max_inflight_requests == 4 and len(questions) == 12
+    link_schema = pipeline.link_schema
+    test_pid = os.getpid()
+
+    def dying_link_schema(schema, question, gateway, config):
+        if question.question_id == questions[5].question_id:
+            assert os.getpid() != test_pid, "the link stage runs in the test process"
+            os._exit(3)
+        return link_schema(schema, question, gateway, config)
+
+    monkeypatch.setattr(pipeline, "link_schema", dying_link_schema)
+    gateway = make_gateway(replay_config)
+    summary = run_link_stage(catalog, questions, gateway, replay_config, tmp_path)
+    assert multiprocessing.active_children() == []
+    unanswered = [questions[5].question_id, questions[9].question_id]
+    assert summary.failures == [(qid, "worker exited with code 3") for qid in unanswered]
+    assert summary.processed == len(questions) - 2
+    journaled = sorted(line["question_id"] for line in _journal(tmp_path / LINK_JOURNAL))
+    assert journaled == sorted(q.question_id for q in questions if q.question_id not in unanswered)
+
+    monkeypatch.setattr(pipeline, "link_schema", link_schema)
+    capsys.readouterr()
+    assert main(["run", *_cli_args(corpus_dir, replay_config.cache_dir, tmp_path)]) == 0
+    assert "[link] processed=2 skipped=10 failed=0\n" in capsys.readouterr().out
+    for name in ("predictions", "report"):
+        got = (tmp_path / f"{name}.json").read_bytes()
+        assert got == (FIXTURES / f"expected_{name}.json").read_bytes(), name
+
+
+def test_forked_replay_matches_the_in_process_run(
+    catalog, questions, replay_cache, tmp_path, monkeypatch
+):
+    # One work slot runs the stages in the test process; four fork a worker
+    # each, from the thread that called the stage and no other.
+    pids = _CallLog(tmp_path / "pids.jsonl")
+    link_schema = pipeline.link_schema
+    fork = os.fork
+    threads_at_fork = []
+
+    def watched_link_schema(schema, question, gateway, config):
+        pids.add(run, os.getpid())
+        return link_schema(schema, question, gateway, config)
+
+    def watched_fork():
+        threads_at_fork.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(pipeline, "link_schema", watched_link_schema)
+    monkeypatch.setattr(os, "fork", watched_fork)
+    threads = threading.active_count()
+    outputs, failures = {}, {}
+    for workers in (1, 4):
+        run = f"workers{workers}"
+        out = tmp_path / run
+        config = PipelineConfig(
+            backend="replay", cache_dir=replay_cache, max_inflight_requests=workers
+        )
+        _generate(catalog, questions, config, out)
+        predictions = load_predictions(out / "predictions.json")
+        run_eval_stage(catalog, questions, predictions, config, out)
+        outputs[workers] = [(out / f"{name}.json").read_bytes() for name in ("predictions", "report")]
+        outputs[workers] += [
+            set((out / name).read_text().splitlines()) for name in (LINK_JOURNAL, VOTE_JOURNAL)
+        ]
+
+        run = f"empty{workers}"
+        empty = dataclasses.replace(config, cache_dir=tmp_path / "empty")
+        gateway = make_gateway(empty)
+        failures[workers] = [
+            stage(catalog, questions, gateway, empty, tmp_path / "failed").failures
+            for stage in (run_link_stage, run_generate_stage)
+        ]
+        assert multiprocessing.active_children() == []
+
+    assert outputs[1] == outputs[4]
+    assert outputs[4][0] == (FIXTURES / "expected_predictions.json").read_bytes()
+    assert failures[1] == failures[4]
+    for stage_failures in failures[4]:
+        assert [qid for qid, _ in stage_failures] == [q.question_id for q in questions]
+    assert {pid for (pid,) in pids.read("workers1")} == {os.getpid()}
+    forked = {pid for (pid,) in pids.read("workers4")}
+    assert len(forked) == 4 and os.getpid() not in forked
+    # Four workers for each of the two stages, over the cache and the empty one.
+    assert threads_at_fork == [threads] * 16
