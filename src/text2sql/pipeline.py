@@ -9,8 +9,9 @@ model call is out, so another question can vote while it waits. Twice that
 many threads run, one set waiting on POSTs (which ``LiveGateway`` bounds by
 the same number) and one voting. A replayed call waits on nothing, so replay's
 work is Python that threads cannot overlap: each stage forks up to
-max_inflight_requests worker processes instead, and the parent appends what
-they send back, so it stays the only journal writer.
+max_inflight_requests worker processes instead. Threads and forked workers
+alike only hand back each question's answer; the thread that runs the stage
+appends them to the journal as they arrive, so it is the only journal writer.
 
 EX is scored where the result tables already are: the vote hands back the
 gold query's outcome with its clusters (the gold text is usually one of the
@@ -29,8 +30,8 @@ import json
 import logging
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -203,11 +204,17 @@ def _read_link(links: Journal, question: Question) -> tuple[DatabaseSchema, Reca
         ) from exc
 
 
-def _pool_map(workers: int, fn, items) -> list:
-    """Apply fn to every item on a pool of ``workers`` threads; results come
-    back in input order."""
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _pool_as_completed(workers: int, fn, items):
+    """Apply fn to every item on a pool of ``workers`` threads, yielding
+    ``(index of the item, result)`` as each finishes. Items not yet started
+    when the caller stops iterating are cancelled."""
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = {pool.submit(fn, item): index for index, item in enumerate(items)}
+        for future in as_completed(futures):
+            yield futures[future], future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class _SlotReleasingGateway:
@@ -226,11 +233,9 @@ class _SlotReleasingGateway:
             self._slots.acquire()
 
 
-def _threaded_answers(
-    config: PipelineConfig, todo: list[Question], answer, gateway, journal: Journal
-) -> dict[int, str]:
-    """Append ``answer(question, gateway)`` to ``journal`` for every question
-    in ``todo`` on threads; the failure messages by index into ``todo``.
+def _threaded_answers(config: PipelineConfig, todo: list[Question], answer, gateway):
+    """Yield ``(index into todo, answer(question, gateway))`` for every
+    question in ``todo``, worked on threads, in the order they finish.
 
     A question works while it holds one of ``max_inflight_requests`` slots, so
     at most that many run SQLite at once; the gateway ``answer`` receives frees
@@ -239,34 +244,26 @@ def _threaded_answers(
     slots = threading.BoundedSemaphore(config.max_inflight_requests)
     slot_gateway = _SlotReleasingGateway(gateway, slots)
 
-    def process(question: Question) -> str | None:
+    def process(question: Question) -> dict | str:
         with slots:
-            result = answer(question, slot_gateway)
-            if isinstance(result, str):
-                return result
-            journal.append(result)
-        return None
+            return answer(question, slot_gateway)
 
     # While a question waits on its POST another can hold its slot, so the
     # network backends need a thread for each.
     workers = config.max_inflight_requests * (1 if config.backend == "replay" else 2)
-    messages = enumerate(_pool_map(workers, process, todo))
-    return {index: message for index, message in messages if message}
+    return _pool_as_completed(workers, process, todo)
 
 
-def _forked_answers(
-    workers: int, todo: list[Question], answer, gateway, journal: Journal
-) -> dict[int, str]:
-    """Append ``answer(question, gateway)`` to ``journal`` for every question
-    in ``todo`` on ``workers`` forked processes; the failure messages by index
-    into ``todo``.
+def _forked_answers(workers: int, todo: list[Question], answer, gateway):
+    """Yield ``(index into todo, answer(question, gateway))`` for every
+    question in ``todo``, worked on ``workers`` forked processes, in the order
+    they arrive.
 
     Child ``k`` takes questions ``k``, ``k + workers``, ... and sends
-    ``(index, answer)`` down its own pipe for each. The parent appends each
-    payload as it arrives, so it stays the only journal writer. A child that
-    exits before answering its whole shard fails each unanswered question with
-    its exit code. Every child is joined before this returns or raises, and
-    terminated first if it is still running.
+    ``(index, answer)`` down its own pipe for each. A child that exits before
+    answering its whole shard yields ``worker exited with code N`` for each
+    question it did not answer. Every child is joined before the generator
+    finishes or is closed, and terminated first if it is still running.
     """
     # Imported here: importing multiprocessing takes a tenth of the set-up time.
     import multiprocessing
@@ -279,17 +276,16 @@ def _forked_answers(
             sender.send((index, answer(todo[index], gateway)))
 
     children = {}  # receiving end -> (process, indices it has not answered)
-    failures: dict[int, str] = {}
     try:
         for first in range(workers):
             shard = range(first, len(todo), workers)
-            receiver, sender = context.Pipe(duplex=False)
-            with sender:  # the parent's copy closes, so the child's exit reads as EOF
-                process = context.Process(target=serve, args=(sender, shard))
-                try:
+            try:
+                receiver, sender = context.Pipe(duplex=False)
+                with sender:  # the parent's copy closes, so the child's exit reads as EOF
+                    process = context.Process(target=serve, args=(sender, shard))
                     process.start()
-                except OSError as exc:
-                    raise Text2SqlError(f"cannot start a worker process: {exc}") from exc
+            except OSError as exc:
+                raise Text2SqlError(f"cannot start a worker process: {exc}") from exc
             children[receiver] = (process, set(shard))
         pending = dict(children)
         while pending:
@@ -301,13 +297,10 @@ def _forked_answers(
                     del pending[receiver]
                     process.join()
                     for index in unanswered:
-                        failures[index] = f"worker exited with code {process.exitcode}"
+                        yield index, f"worker exited with code {process.exitcode}"
                     continue
                 unanswered.discard(index)
-                if isinstance(result, str):
-                    failures[index] = result
-                else:
-                    journal.append(result)
+                yield index, result
     finally:
         for process, _ in children.values():
             if process.is_alive():
@@ -315,7 +308,6 @@ def _forked_answers(
         for receiver, (process, _) in children.items():
             process.join()
             receiver.close()
-    return failures
 
 
 def _run_stage(
@@ -338,7 +330,10 @@ def _run_stage(
     Replay forks one worker process per work slot, or per question when there
     are fewer (``_forked_answers``), and starts no thread before it forks; it
     takes the thread path when there is one worker to run, or where the
-    platform cannot fork.
+    platform cannot fork. Either way, the answers arrive here, on the thread
+    that called the stage, which appends each payload as it comes: this is the
+    only place that writes a journal line. Leaving the loop, by an exception
+    too, closes the answers, which stops the workers at once.
     """
     journal = Journal(journal_path, fresh=force)
     todo = [question for question in questions if question.question_id not in journal.entries]
@@ -359,12 +354,18 @@ def _run_stage(
             return f"{type(exc).__name__}: {exc}"
 
     forks = min(config.max_inflight_requests, len(todo))
+    if config.backend == "replay" and forks > 1 and hasattr(os, "fork"):
+        answers = _forked_answers(forks, todo, answer, gateway)
+    else:
+        answers = _threaded_answers(config, todo, answer, gateway)
+    failed: dict[int, str] = {}
     try:
-        with journal.appending():
-            if config.backend == "replay" and forks > 1 and hasattr(os, "fork"):
-                failed = _forked_answers(forks, todo, answer, gateway, journal)
-            else:
-                failed = _threaded_answers(config, todo, answer, gateway, journal)
+        with journal.appending(), closing(answers):
+            for index, result in answers:
+                if isinstance(result, str):
+                    failed[index] = result
+                else:
+                    journal.append(result)
     except OSError as exc:
         raise Text2SqlError(f"cannot write {journal_path}: {exc}") from exc
     failures = [(todo[index].question_id, failed[index]) for index in sorted(failed)]
@@ -410,10 +411,10 @@ def _vote_trace(question: Question, vote: VoteResult) -> dict:
         "sql": vote.winner.text,
         "fallback_used": vote.fallback_used,
         "clusters": [
-            {"size": cluster.size, "members": sorted(c.sample_index for c in cluster.members)}
+            {"size": cluster.size, "members": [c.sample_index for c in cluster.members]}
             for cluster in vote.clusters
         ],
-        "discarded": [[index, reason] for index, reason in sorted(vote.discarded)],
+        "discarded": [[index, reason] for index, reason in vote.discarded],
     }
 
 
@@ -435,11 +436,8 @@ def run_generate_stage(
         vote = generate_sql(question, view, gateway, schema.sqlite_path, config)
         trace = _vote_trace(question, vote)
         if question.gold_sql is not None:
-            # The winner is the lowest-index member of the first cluster,
-            # which is the member whose execution gave the cluster its table.
-            winner_table = None if vote.fallback_used else vote.clusters[0].result
             trace["gold_sql"] = question.gold_sql
-            trace["outcome"] = score_outcome(vote.reference_outcome, winner_table)
+            trace["outcome"] = score_outcome(vote.reference_outcome, vote.winner_table)
         return trace
 
     summary, votes = _run_stage(
@@ -542,7 +540,8 @@ def run_eval_stage(
     def score(record):
         return execution_accuracy([record], timeout=config.exec_timeout)[0]
 
-    eval_records = _pool_map(config.max_inflight_requests, score, records) + settled
+    scored = _pool_as_completed(config.max_inflight_requests, score, records)
+    eval_records = [record for _, record in scored] + settled
 
     per_question = []
     with ExitStack() as stack:

@@ -2,8 +2,10 @@
 
 Completions are normalized into runnable candidates, executed once per distinct
 text on one read-only connection per question, and grouped by result
-equivalence; the winner comes from the largest group. Errors, timeouts,
-oversized results, and unparseable completions are removed before voting.
+equivalence. ``cluster_by_execution`` alone decides the order of the groups,
+so the winner is the first member of the first group: the lowest sample index
+in the largest group. Errors, timeouts, oversized results, and unparseable
+completions are removed before voting.
 
 The vote also hands back the question's gold query outcome, which EX scoring
 needs: the outcome of the candidate whose text is exactly the gold query when
@@ -65,19 +67,30 @@ class ExecutionCluster:
     def size(self) -> int:
         return len(self.members)
 
-    @property
-    def min_index(self) -> int:
-        return min(c.sample_index for c in self.members)
 
-
-@dataclass
+@dataclass(frozen=True)
 class VoteResult:
-    winner: SqlCandidate
+    """A vote as ``cluster_by_execution`` ordered it: the first member of the
+    first cluster wins, and its table is that cluster's. With no cluster, the
+    raw first candidate (``fallback``) wins, with no table, and is flagged."""
+
     clusters: list[ExecutionCluster]
     discarded: list[tuple[int, str]]
-    fallback_used: bool = False
+    fallback: SqlCandidate
     # The gold query's outcome, when the vote was given one (``reference_sql``).
     reference_outcome: ExecutionOutcome | None = None
+
+    @property
+    def fallback_used(self) -> bool:
+        return not self.clusters
+
+    @property
+    def winner(self) -> SqlCandidate:
+        return self.clusters[0].members[0] if self.clusters else self.fallback
+
+    @property
+    def winner_table(self) -> ResultTable | None:
+        return self.clusters[0].result if self.clusters else None
 
 
 def postprocess_completion(raw: str, sample_index: int) -> SqlCandidate:
@@ -120,13 +133,16 @@ def cluster_by_execution(
     """Execute each distinct candidate text once and group successes by result
     equivalence.
 
-    A repeated text joins the cluster, or takes the discard reason, of its
-    first occurrence. Each candidate's own ORDER BY status decides its sequence
-    sensitivity. All texts run on one read-only connection, opened on entry
-    (a missing database file raises, even when no text would run) and closed
-    before returning; each statement gets the full ``timeout``. Clusters come
-    back ordered by descending size, then ascending smallest member index;
-    failed candidates land in the discard list with a reason.
+    Candidates are placed in sample order, so each cluster's members are in
+    sample order and its first member is the one whose execution gave it its
+    table. A repeated text joins the cluster, or takes the discard reason, of
+    its first occurrence. Each candidate's own ORDER BY status decides its
+    sequence sensitivity. All texts run on one read-only connection, opened on
+    entry (a missing database file raises, even when no text would run) and
+    closed before returning; each statement gets the full ``timeout``. Clusters
+    come back ordered by descending size, then by their first member's sample
+    index, so the first member of the first cluster wins the vote; failed
+    candidates land in the discard list, in sample order, with a reason.
 
     The third item is ``reference_sql``'s outcome (None without one): kept from
     the candidate execution whose text equals it exactly, else run once more on
@@ -140,7 +156,7 @@ def cluster_by_execution(
     # the same place if it were executed and compared again.
     placed: dict[str, ExecutionCluster | str] = {}
     with readonly(db_path) as connection:
-        for candidate in candidates:
+        for candidate in sorted(candidates, key=lambda c: c.sample_index):
             if candidate.unparseable:
                 discarded.append((candidate.sample_index, DISCARD_UNPARSEABLE))
                 continue
@@ -158,7 +174,7 @@ def cluster_by_execution(
                 place.members.append(candidate)
         if reference_sql is not None and reference is None:
             reference = execute_sql(db_path, reference_sql, timeout=timeout, connection=connection)
-    clusters.sort(key=lambda c: (-c.size, c.min_index))
+    clusters.sort(key=lambda c: (-c.size, c.members[0].sample_index))
     return clusters, discarded, reference
 
 
@@ -173,21 +189,6 @@ def _place(outcome: ExecutionOutcome, clusters: list[ExecutionCluster]) -> Execu
     cluster = ExecutionCluster(result=outcome.table)
     clusters.append(cluster)
     return cluster
-
-
-def select_final(
-    clusters: list[ExecutionCluster],
-    discarded: list[tuple[int, str]],
-    fallback: SqlCandidate,
-) -> VoteResult:
-    """Pick the winner: lowest sample index inside the largest cluster, size
-    ties resolved by the cluster holding the lowest index overall. With nothing
-    left to vote on, the raw first candidate wins and the result is flagged."""
-    if not clusters:
-        return VoteResult(winner=fallback, clusters=[], discarded=discarded, fallback_used=True)
-    best = min(clusters, key=lambda c: (-c.size, c.min_index))
-    winner = min(best.members, key=lambda c: c.sample_index)
-    return VoteResult(winner=winner, clusters=clusters, discarded=discarded)
 
 
 def generation_request(
@@ -225,6 +226,4 @@ def generate_sql(
     clusters, discarded, reference = cluster_by_execution(
         candidates, db_path, timeout=config.exec_timeout, reference_sql=question.gold_sql
     )
-    vote = select_final(clusters, discarded, fallback=candidates[0])
-    vote.reference_outcome = reference
-    return vote
+    return VoteResult(clusters, discarded, candidates[0], reference)

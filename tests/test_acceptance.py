@@ -28,7 +28,7 @@ from text2sql.linking import build_column_recall_prompt, build_table_recall_prom
 from text2sql.minicorpus import ScriptedModel
 from text2sql.pipeline import run_generate_stage, run_link_stage
 from text2sql.prompts import PromptConfig, calibration_history, generation_user_message
-from text2sql.voting import cluster_by_execution, postprocess_completion, select_final
+from text2sql.voting import VoteResult, cluster_by_execution, postprocess_completion
 
 from conftest import PROMPT_FIXTURES, prompt_fixture
 
@@ -198,7 +198,7 @@ def test_criterion_3_voting_matches_brute_force_oracle(concert_db, car_db):
 
             candidates = [postprocess_completion(raw, i) for i, raw in enumerate(raws)]
             clusters, discarded, _ = cluster_by_execution(candidates, db_path)
-            result = select_final(clusters, discarded, candidates[0])
+            result = VoteResult(clusters, discarded, candidates[0])
 
             oracle_winner, oracle_discards, oracle_sizes = _brute_force_reference(
                 candidates, db_path

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import itertools
 import json
 import multiprocessing
@@ -24,7 +25,7 @@ from text2sql import evaluation, executor, pipeline, voting
 from text2sql.catalog import DatabaseSchema, FkRelation, Question
 from text2sql.cli import main
 from text2sql.config import BACKENDS, PipelineConfig, load_config
-from text2sql.errors import ConfigurationError
+from text2sql.errors import ConfigurationError, Text2SqlError
 from text2sql.evaluation import score_pair
 from text2sql.gateway import (
     CacheStore,
@@ -1411,3 +1412,78 @@ def test_forked_replay_matches_the_in_process_run(
     assert len(forked) == 4 and os.getpid() not in forked
     # Four workers for each of the two stages, over the cache and the empty one.
     assert threads_at_fork == [threads] * 16
+
+
+def test_a_worker_pipe_that_cannot_be_made_is_not_a_journal_error(
+    catalog, questions, replay_config, tmp_path, monkeypatch
+):
+    # The first worker starts; making the second one's pipe fails.
+    context = multiprocessing.get_context("fork")
+    pipe = context.Pipe
+    calls = itertools.count()
+
+    def failing_pipe(*args, **kwargs):
+        if next(calls) == 1:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return pipe(*args, **kwargs)
+
+    monkeypatch.setattr(context, "Pipe", failing_pipe)
+    gateway = make_gateway(replay_config)
+    message = f"cannot start a worker process: [Errno {errno.EMFILE}] {os.strerror(errno.EMFILE)}"
+    with pytest.raises(Text2SqlError) as raised:
+        run_link_stage(catalog, questions, gateway, replay_config, tmp_path)
+    assert str(raised.value) == message
+    assert multiprocessing.active_children() == []
+    assert (tmp_path / LINK_JOURNAL).read_bytes() == b""
+
+
+def test_a_stage_that_raises_stops_its_workers_at_once(
+    catalog, questions, replay_config, tmp_path, monkeypatch
+):
+    # Question 0 comes back at once and cannot be journaled, while the other
+    # three workers are still busy with their first question.
+    link_schema = pipeline.link_schema
+
+    def slow_link_schema(schema, question, gateway, config):
+        if question.question_id != questions[0].question_id:
+            time.sleep(60)
+        return link_schema(schema, question, gateway, config)
+
+    def crashing_append(journal, payload):
+        raise _Crash
+
+    monkeypatch.setattr(pipeline, "link_schema", slow_link_schema)
+    monkeypatch.setattr(pipeline.Journal, "append", crashing_append)
+    started = time.monotonic()
+    # ``raised`` holds the traceback, which keeps the stage's frames alive, so
+    # the workers must be stopped by the stage itself, not by garbage collection.
+    with pytest.raises(_Crash) as raised:
+        run_link_stage(catalog, questions, make_gateway(replay_config), replay_config, tmp_path)
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - started < 30
+
+
+def test_the_thread_that_runs_a_stage_is_the_only_journal_writer(
+    catalog, questions, replay_cache, tmp_path, monkeypatch
+):
+    writers = _CallLog(tmp_path / "writers.jsonl")
+    append = pipeline.Journal.append
+
+    def watched_append(journal, payload):
+        writers.add("append", os.getpid(), threading.get_ident())
+        return append(journal, payload)
+
+    monkeypatch.setattr(pipeline.Journal, "append", watched_append)
+    record = PipelineConfig(backend="record", cache_dir=tmp_path / "cache", max_inflight_requests=2)
+    replay = PipelineConfig(backend="replay", cache_dir=replay_cache, max_inflight_requests=4)
+    runs = [
+        (record, RecordingGateway(ScriptedModel(), CacheStore(record.cache_dir))),
+        (replay, make_gateway(replay)),
+    ]
+    for config, gateway in runs:
+        out = tmp_path / config.backend
+        for stage in (run_link_stage, run_generate_stage):
+            assert stage(catalog, questions, gateway, config, out).ok
+    appends = writers.read("append")
+    assert len(appends) == len(runs) * 2 * len(questions)
+    assert set(appends) == {(os.getpid(), threading.get_ident())}

@@ -28,10 +28,10 @@ from text2sql.voting import (
     DISCARD_UNPARSEABLE,
     ExecutionCluster,
     SqlCandidate,
+    VoteResult,
     cluster_by_execution,
     generate_sql,
     postprocess_completion,
-    select_final,
 )
 
 from test_acceptance import CONCERT_POOL
@@ -171,7 +171,7 @@ def _cluster_every_candidate(candidates, db_path):
                 break
         else:
             clusters.append(ExecutionCluster(result=outcome.table, members=[candidate]))
-    clusters.sort(key=lambda c: (-c.size, c.min_index))
+    clusters.sort(key=lambda c: (-c.size, min(m.sample_index for m in c.members)))
     return clusters, discarded
 
 
@@ -187,6 +187,20 @@ def test_cluster_matches_executing_every_candidate(concert_db, raws, gold_raw):
     # The gold outcome, whether kept from a candidate or run after the vote,
     # is what a run of its own gives.
     assert reference == execute_sql(concert_db, gold)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from(VOTE_POOL), min_size=1, max_size=20), st.randoms())
+def test_vote_does_not_depend_on_the_order_candidates_arrive_in(concert_db, raws, rng):
+    candidates = [postprocess_completion(raw, i) for i, raw in enumerate(raws)]
+    shuffled = rng.sample(candidates, len(candidates))
+    votes = []
+    for given_order in (candidates, shuffled):
+        clusters, discarded, _ = cluster_by_execution(given_order, concert_db)
+        vote = VoteResult(clusters, discarded, fallback=candidates[0])
+        members = [[m.sample_index for m in c.members] for c in clusters]
+        votes.append((members, sorted(discarded), vote.winner.sample_index, vote.winner_table))
+    assert votes[0] == votes[1]
 
 
 def test_cluster_gives_each_statement_its_own_deadline(concert_db):
@@ -278,7 +292,7 @@ def test_cluster_unparseable_discarded_without_execution(concert_db):
 
 def test_select_final_plurality():
     clusters, discarded = _synthetic_clusters([12, 5, 3])
-    result = select_final(clusters, discarded, fallback=clusters[0].members[0])
+    result = VoteResult(clusters, discarded, fallback=clusters[0].members[0])
     assert result.winner in clusters[0].members
     assert result.winner.sample_index == min(m.sample_index for m in clusters[0].members)
     assert not result.fallback_used
@@ -286,21 +300,26 @@ def test_select_final_plurality():
 
 def test_select_final_unanimous():
     clusters, discarded = _synthetic_clusters([20])
-    result = select_final(clusters, discarded, fallback=clusters[0].members[0])
+    result = VoteResult(clusters, discarded, fallback=clusters[0].members[0])
     assert result.winner.sample_index == 0
 
 
-def test_select_final_tie_breaks_by_lowest_overall_index():
-    # Two clusters of equal size; indices interleaved so cluster B holds 0.
-    a = ExecutionCluster(result=None, members=[_member(2), _member(3)])
-    b = ExecutionCluster(result=None, members=[_member(0), _member(5)])
-    result = select_final([a, b], [], fallback=_member(0))
+def test_select_final_tie_breaks_by_lowest_overall_index(concert_db):
+    # Two clusters of equal size; indices interleaved so cluster B holds 0,
+    # and handed over out of order, with sample 0 last.
+    a, b = "SELECT count(*) FROM singer", "SELECT max(age) FROM singer"
+    candidates = [
+        SqlCandidate(text=sql, sample_index=index, raw_completion=sql)
+        for index, sql in ((2, a), (5, b), (3, a), (0, b))
+    ]
+    clusters, discarded, _ = cluster_by_execution(candidates, concert_db)
+    result = VoteResult(clusters, discarded, fallback=candidates[3])
     assert result.winner.sample_index == 0
 
 
 def test_select_final_everything_discarded_uses_fallback():
     fallback = _member(0)
-    result = select_final([], [(0, DISCARD_SQL_ERROR), (1, DISCARD_SQL_ERROR)], fallback)
+    result = VoteResult([], [(0, DISCARD_SQL_ERROR), (1, DISCARD_SQL_ERROR)], fallback)
     assert result.fallback_used
     assert result.winner is fallback
 
@@ -486,7 +505,7 @@ def test_winning_class_invariant_under_permutation(concert_db):
     for _ in range(50):
         sqls = [rng.choice(POOL) for _ in range(rng.randint(1, 6))]
         base_clusters, base_discarded, _ = cluster_by_execution(_candidates(*sqls), concert_db)
-        base = select_final(
+        base = VoteResult(
             base_clusters, base_discarded, _candidates(*sqls)[0]
         )
         perm = list(enumerate(sqls))
@@ -496,7 +515,7 @@ def test_winning_class_invariant_under_permutation(concert_db):
             for i, (_, sql) in enumerate(perm)
         ]
         clusters, discarded, _ = cluster_by_execution(shuffled, concert_db)
-        result = select_final(clusters, discarded, shuffled[0])
+        result = VoteResult(clusters, discarded, shuffled[0])
         if base.fallback_used:
             assert result.fallback_used
             continue
