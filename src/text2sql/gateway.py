@@ -4,25 +4,27 @@ All backends speak the same ``complete(exchange) -> ChatCompletion`` interface.
 Responses are cached (and replayed) as one JSON file per request fingerprint so
 that batch runs are resumable and test runs are fully deterministic offline.
 The live backend posts with ``urllib.request`` and follows no redirect.
+
+The HTTP stack (``http.client``, ``ssl``, ``urllib.request`` and the ``email``
+package they pull in) is imported only when a ``LiveGateway`` is built, so a
+replay run, which makes no request, never pays its import time at start-up.
 """
 
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import math
 import os
-import ssl
 import tempfile
 import threading
 import time
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from json import dumps as json_dumps  # _UrllibSession.post has a parameter named json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import (
     AuthenticationError,
@@ -32,6 +34,9 @@ from .errors import (
     GatewayError,
     RateLimitExhausted,
 )
+
+if TYPE_CHECKING:
+    import http.client
 
 log = logging.getLogger(__name__)
 
@@ -220,20 +225,28 @@ class _Reply:
         return json.loads(self.text)
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    def redirect_request(self, *args):  # a 3xx stays a reply: the POST and its key go nowhere else
-        return None
-
-
 class _UrllibSession:
-    """``requests.Session.post`` for a JSON body; a 3xx, 4xx or 5xx is a reply, not raised."""
+    """``requests.Session.post`` for a JSON body; a 3xx, 4xx or 5xx is a reply, not raised.
+
+    ``ssl`` and ``urllib.request`` are imported here, on construction, rather than
+    with the module: only a live gateway posts anything.
+    """
 
     def __init__(self):
+        import ssl
+        import urllib.request
+
+        class _NoRedirect(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args):  # a 3xx stays a reply: the POST and its key go nowhere else
+                return None
+
         # One SSL context for every connection: building one parses the whole CA store.
         https = urllib.request.HTTPSHandler(context=ssl.create_default_context())
         self._opener = urllib.request.build_opener(_NoRedirect, https)
 
     def post(self, url: str, json: dict, headers: dict, timeout: float) -> _Reply:
+        import urllib.request  # already loaded by __init__
+
         data = json_dumps(json).encode("utf-8")
         request = urllib.request.Request(url, data, {**headers, "Content-Type": "application/json"})
         try:
@@ -249,6 +262,11 @@ class LiveGateway:
 
     The wait before retry k (k >= 1) is ``backoff_seconds * 2 ** (k - 1)``, or a
     longer numeric ``Retry-After`` sent with a 429 or 503, capped at ``MAX_RETRY_AFTER_S``.
+
+    ``http.client`` is imported on construction, for the transport errors that
+    ``complete`` retries; without an injected session the default
+    ``_UrllibSession`` brings in ``ssl`` and ``urllib.request`` too. Replay builds
+    no ``LiveGateway``, so it never loads them.
     """
 
     RETRYABLE_STATUS = (429, 500, 502, 503, 504)
@@ -273,6 +291,9 @@ class LiveGateway:
             valid = False
         if not valid:
             raise ConfigurationError(f"api_base must look like http(s)://host[:port]/..., got {base_url!r}")
+        import http.client
+
+        self._transport_errors = (OSError, http.client.HTTPException)
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.max_attempts = max_attempts
@@ -297,7 +318,7 @@ class LiveGateway:
                     response = self._session.post(
                         url, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S
                     )
-            except (OSError, http.client.HTTPException) as exc:
+            except self._transport_errors as exc:
                 last_error = exc
                 log.warning("transport failure (attempt %d): %s", attempt + 1, exc)
                 continue

@@ -471,16 +471,24 @@ def recorded_outcome(votes: Journal, question: Question, predicted_sql: str) -> 
 
 def load_predictions(path: Path) -> dict[str, str]:
     """question_id -> SQL from a JSON array of ``{"question_id", "sql"}``
-    objects; any other shape is a SpiderFormatError naming the file and entry."""
+    objects; any other shape, or two entries with the same question_id (``1``
+    and ``"1"`` included), is a SpiderFormatError naming the file and entries."""
     payload = read_json_file(Path(path))
     if not isinstance(payload, list):
         raise SpiderFormatError(f"{path}: expected a JSON array of predictions")
     predictions = {}
+    index_of: dict[str, int] = {}
     for idx, item in enumerate(payload):
         sql = item.get("sql") if isinstance(item, dict) else None
         if not isinstance(sql, str) or "question_id" not in item:
             raise SpiderFormatError(f"{path}: entry {idx} needs a question_id and a string sql")
-        predictions[str(item["question_id"])] = sql
+        question_id = str(item["question_id"])
+        if question_id in index_of:
+            raise SpiderFormatError(
+                f"{path}: entries {index_of[question_id]} and {idx} share question_id {question_id!r}"
+            )
+        index_of[question_id] = idx
+        predictions[question_id] = sql
     return predictions
 
 

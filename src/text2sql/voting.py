@@ -41,6 +41,8 @@ DISCARD_UNPARSEABLE = "Unparseable"
 _DISCARD_REASONS = {STATUS_TIMEOUT: DISCARD_TIMEOUT, STATUS_OVERFLOW: DISCARD_OVERFLOW}
 
 _FENCE_BLOCK_RE = re.compile(r"```[a-zA-Z]*\n(.*?)```", re.DOTALL)
+# A language tag on the query's own line inside a fence: ```sql SELECT 1```.
+_INLINE_TAG_RE = re.compile(r"\A[ \t]*[a-zA-Z]+[ \t]+(?=(?:select|with)\b)", re.IGNORECASE)
 _SQL_LINE_RE = re.compile(r"^\s*(select|with)\b", re.IGNORECASE)
 # Trailing whitespace and semicolons, in any mix. The lookbehind lets a match
 # start only where a run begins, which keeps the scan linear.
@@ -106,7 +108,7 @@ def postprocess_completion(raw: str, sample_index: int) -> SqlCandidate:
     if fenced:
         text = fenced.group(1)
     elif "```" in text:
-        text = text.split("```", 2)[1]
+        text = _INLINE_TAG_RE.sub("", text.split("```", 2)[1])
 
     lines = text.splitlines()
     for idx, line in enumerate(lines):

@@ -570,18 +570,53 @@ def test_loopback_closed_port_fails_after_max_attempts(caplog, monkeypatch):
     assert caplog.text.count("transport failure") == 3
 
 
-def test_importing_the_cli_loads_no_third_party_http_client():
+HTTP_STACK = ("http.client", "ssl", "urllib.request", "email")
+
+
+def _modules_loaded_by(code: str, *args: str) -> list[str]:
+    """What a fresh interpreter running ``code`` reports on its last stdout line."""
     src = Path(gateway.__file__).resolve().parents[1]
-    code = (
-        "import sys, text2sql.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('requests', 'urllib3')))"
-    )
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+_REPORT_MODULES = (
+    "import json, sys; "
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('requests', 'urllib3')"
+    f" or m in {HTTP_STACK!r})))"
+)
+
+
+def test_importing_the_cli_loads_no_third_party_http_client():
+    assert _modules_loaded_by("import text2sql.cli; " + _REPORT_MODULES) == []
+
+
+def test_a_replay_run_never_loads_the_http_stack(corpus_dir, replay_cache, tmp_path):
+    code = (
+        "import sys; from text2sql.cli import main; "
+        "assert main(['run', '--backend', 'replay', *sys.argv[1:]]) == 0; " + _REPORT_MODULES
+    )
+    loaded = _modules_loaded_by(
+        code,
+        "--tables", str(corpus_dir / "tables.json"),
+        "--questions", str(corpus_dir / "questions.json"),
+        "--cache-dir", str(replay_cache),
+        "--out", str(tmp_path / "out"),
+    )
+    assert loaded == []
+    assert (tmp_path / "out" / "report.json").is_file()
+
+
+def test_building_a_live_gateway_loads_the_http_stack():
+    code = (
+        "from text2sql.gateway import LiveGateway; "
+        "LiveGateway('http://127.0.0.1:9/v1', 'key'); " + _REPORT_MODULES
+    )
+    assert _modules_loaded_by(code) == sorted(HTTP_STACK)

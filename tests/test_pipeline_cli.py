@@ -1037,6 +1037,25 @@ def test_cli_eval_malformed_predictions_is_named_error(
     assert f"{path}: {named}" in err
 
 
+def test_cli_eval_refuses_predictions_that_repeat_a_question_id(
+    corpus_dir, replay_cache, questions, tmp_path, capsys
+):
+    # 0 and "0" are the same question once ids are read as strings.
+    first = questions[0]
+    entries = [
+        {"question_id": 0, "sql": first.gold_sql},
+        {"question_id": questions[1].question_id, "sql": questions[1].gold_sql},
+        {"question_id": "0", "sql": "SELECT 1"},
+    ]
+    assert first.question_id == "0"
+    path = tmp_path / "predictions.json"
+    path.write_text(json.dumps(entries))
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts") + ["--predictions", str(path)]
+    err = _fault_line(capsys, main(["eval", *args]), 1)
+    assert f"{path}: entries 0 and 2 share question_id '0'" in err
+    assert not (tmp_path / "arts" / "report.json").exists()
+
+
 def test_cli_eval_scores_questions_absent_from_predictions_as_mismatches(
     corpus_dir, replay_cache, questions, tmp_path
 ):

@@ -62,6 +62,17 @@ def test_postprocess_strips_fences_and_semicolon():
     assert candidate.text == "SELECT name FROM singer"
 
 
+def test_postprocess_strips_a_language_tag_on_the_query_line_of_a_fence():
+    assert postprocess_completion("```sql SELECT 1```", 0).text == "SELECT 1"
+    assert postprocess_completion("Here:\n```SQLite\tWITH x AS (SELECT 1) SELECT * FROM x;", 0).text == (
+        "WITH x AS (SELECT 1) SELECT * FROM x"
+    )
+    # Only inside a fence: the same words unfenced, or a fenced continuation, are kept.
+    assert postprocess_completion("sql SELECT 1", 0).text == "SELECT sql SELECT 1"
+    assert postprocess_completion("```name FROM singer```", 0).text == "SELECT name FROM singer"
+    assert postprocess_completion("```SELECT with_id FROM t```", 0).text == "SELECT with_id FROM t"
+
+
 def test_postprocess_drops_leading_prose():
     raw = "Sure, here is the query you asked for:\nSELECT name\nFROM singer;"
     assert postprocess_completion(raw, 0).text == "SELECT name FROM singer"
