@@ -12,7 +12,7 @@ from pathlib import Path
 from .catalog import build_catalog, load_questions, load_spider_tables
 from .config import BACKENDS, PipelineConfig, load_config
 from .errors import ConfigurationError, Text2SqlError
-from .evaluation import render_report
+from .evaluation import report_text
 from .pipeline import (
     LINK_JOURNAL,
     Journal,
@@ -123,7 +123,7 @@ def _eval_and_print(
 ) -> None:
     predictions = load_predictions(predictions_path)
     report = run_eval_stage(catalog, questions, predictions, config, out_dir)
-    _emit(render_report(report, "text").decode("utf-8"))
+    _emit(report_text(report))
 
 
 def _stage_command(stage):

@@ -9,13 +9,20 @@ tables the vote executed, the gold query's included. ``score_pair`` ends in
 
 Recall AUC ranks the linker's scores against the tables and columns the gold
 query reads, as SQLite's authorizer names them while it prepares the query.
+It is computed by counting: the negatives are sorted once, and each positive
+counts the negatives below it and tied with it by bisection.
+
+``report.json`` is ``EvalReport``'s fields, key-sorted; ``report.txt`` is a
+fixed-width table of the same numbers.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -99,26 +106,20 @@ def build_report(
     table_auc: float | None = None,
     column_auc: float | None = None,
 ) -> EvalReport:
-    counts = {outcome: 0 for outcome in OUTCOMES}
+    counts = dict.fromkeys(OUTCOMES, 0)
+    sizes: Counter[str] = Counter()  # difficulty -> records
+    matches: Counter[str] = Counter()  # difficulty -> records that match
     for record in records:
-        counts[record.outcome] += 1
-    total = len(records)
-    overall = counts[OUTCOME_MATCH] / total if total else None
-
-    per_difficulty: dict[str, float] = {}
-    buckets: dict[str, list[EvalRecord]] = {}
-    for record in records:
+        counts[record.outcome] += 1  # an outcome outside OUTCOMES raises KeyError
         if record.difficulty:
-            buckets.setdefault(record.difficulty, []).append(record)
-    for difficulty, bucket in sorted(buckets.items()):
-        matched = sum(1 for r in bucket if r.outcome == OUTCOME_MATCH)
-        per_difficulty[difficulty] = matched / len(bucket)
-
+            sizes[record.difficulty] += 1
+            matches[record.difficulty] += record.outcome == OUTCOME_MATCH
+    total = len(records)
     return EvalReport(
         total=total,
         counts=counts,
-        overall_ex=overall,
-        per_difficulty_ex=per_difficulty,
+        overall_ex=counts[OUTCOME_MATCH] / total if total else None,
+        per_difficulty_ex={key: matches[key] / sizes[key] for key in sorted(sizes)},
         table_auc=table_auc,
         column_auc=column_auc,
     )
@@ -152,28 +153,18 @@ def gold_schema_items(
 
 
 def pairwise_auc(scored: Sequence[tuple[float, bool]]) -> float | None:
-    """Mann-Whitney AUC of a score/label sample; ties credit 0.5.
+    """Mann-Whitney AUC of a score/label sample: the share of (positive,
+    negative) pairs the positive outscores, a tie counting half.
 
     Returns None when one of the classes is empty (undefined AUC).
     """
-    positives = sum(1 for _, is_gold in scored if is_gold)
-    negatives = len(scored) - positives
-    if positives == 0 or negatives == 0:
+    positives = [score for score, is_gold in scored if is_gold]
+    negatives = sorted(score for score, is_gold in scored if not is_gold)
+    if not positives or not negatives:
         return None
-    ordered = sorted(scored, key=lambda pair: pair[0])
-    rank_sum = 0.0
-    index = 0
-    while index < len(ordered):
-        tied_end = index
-        while tied_end + 1 < len(ordered) and ordered[tied_end + 1][0] == ordered[index][0]:
-            tied_end += 1
-        average_rank = (index + tied_end) / 2 + 1  # 1-based average rank of the tie group
-        for position in range(index, tied_end + 1):
-            if ordered[position][1]:
-                rank_sum += average_rank
-        index = tied_end + 1
-    u_statistic = rank_sum - positives * (positives + 1) / 2
-    return u_statistic / (positives * negatives)
+    # Twice the pairs won: a negative below a positive counts 2, a tied one 1.
+    doubled = sum(bisect_left(negatives, s) + bisect_right(negatives, s) for s in positives)
+    return doubled / 2 / (len(positives) * len(negatives))
 
 
 def recall_auc(
@@ -203,31 +194,20 @@ def _format_ratio(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
-def render_report(report: EvalReport, fmt: str = "text") -> bytes:
-    """Render a report as stable-key JSON or a fixed-width text table."""
-    if fmt == "json":
-        payload = {
-            "column_auc": report.column_auc,
-            "counts": {k: report.counts.get(k, 0) for k in OUTCOMES},
-            "overall_ex": report.overall_ex,
-            "per_difficulty_ex": dict(sorted(report.per_difficulty_ex.items())),
-            "table_auc": report.table_auc,
-            "total": report.total,
-        }
-        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    if fmt != "text":
-        raise ValueError(f"unknown report format {fmt!r}")
+def report_json(report: EvalReport) -> str:
+    """``report.json``: the report's fields as JSON, keys sorted."""
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
 
-    lines = [
-        "execution accuracy report",
-        "=" * 40,
-        f"{'questions':<24}{report.total:>16}",
-        f"{'overall EX':<24}{_format_ratio(report.overall_ex):>16}",
+
+def report_text(report: EvalReport) -> str:
+    """``report.txt``: the report as a fixed-width text table."""
+    rows = [("questions", report.total), ("overall EX", _format_ratio(report.overall_ex))]
+    rows += [(f"EX [{key}]", _format_ratio(ex)) for key, ex in sorted(report.per_difficulty_ex.items())]
+    rows += [(outcome, report.counts.get(outcome, 0)) for outcome in OUTCOMES]
+    rows += [
+        ("table recall AUC", _format_ratio(report.table_auc)),
+        ("column recall AUC", _format_ratio(report.column_auc)),
     ]
-    for difficulty, value in sorted(report.per_difficulty_ex.items()):
-        lines.append(f"{'EX [' + difficulty + ']':<24}{_format_ratio(value):>16}")
-    for outcome in OUTCOMES:
-        lines.append(f"{outcome:<24}{report.counts.get(outcome, 0):>16}")
-    lines.append(f"{'table recall AUC':<24}{_format_ratio(report.table_auc):>16}")
-    lines.append(f"{'column recall AUC':<24}{_format_ratio(report.column_auc):>16}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    lines = ["execution accuracy report", "=" * 40]
+    lines += [f"{label:<24}{value:>16}" for label, value in rows]
+    return "\n".join(lines) + "\n"

@@ -103,22 +103,6 @@ class ExecutionOutcome:
     def ok(self) -> bool:
         return self.status == STATUS_SUCCESS
 
-    @classmethod
-    def success(cls, table: ResultTable) -> "ExecutionOutcome":
-        return cls(STATUS_SUCCESS, table=table)
-
-    @classmethod
-    def sql_error(cls, message: str) -> "ExecutionOutcome":
-        return cls(STATUS_ERROR, message=message)
-
-    @classmethod
-    def timeout(cls) -> "ExecutionOutcome":
-        return cls(STATUS_TIMEOUT, message="statement interrupted by timeout")
-
-    @classmethod
-    def overflow(cls) -> "ExecutionOutcome":
-        return cls(STATUS_OVERFLOW, message=f"result exceeds {MAX_RESULT_ROWS} rows")
-
 
 def is_order_sensitive(sql: str) -> bool:
     """True iff ORDER BY appears at subquery depth zero, outside string
@@ -191,7 +175,7 @@ def execute_sql(
     """
     tokens = _depth_zero_tokens(sql)
     if not tokens or tokens[0] not in ("select", "with"):
-        return ExecutionOutcome.sql_error("write statement refused")
+        return ExecutionOutcome(STATUS_ERROR, message="write statement refused")
     order_sensitive = _orders_rows(tokens)
     if connection is None:
         with readonly(db_path) as own:
@@ -217,16 +201,14 @@ def _run_statement(
         cursor.execute(sql)
         rows = cursor.fetchmany(MAX_RESULT_ROWS + 1)
         if len(rows) > MAX_RESULT_ROWS:
-            return ExecutionOutcome.overflow()
+            return ExecutionOutcome(STATUS_OVERFLOW, message=f"result exceeds {MAX_RESULT_ROWS} rows")
         column_count = len(cursor.description) if cursor.description else 0
-        table = ResultTable(
-            column_count=column_count, rows=tuple(rows), order_sensitive=order_sensitive
-        )
-        return ExecutionOutcome.success(table)
+        table = ResultTable(column_count, tuple(rows), order_sensitive)
+        return ExecutionOutcome(STATUS_SUCCESS, table)
     except SQL_FAILURES as exc:
         if expired:
-            return ExecutionOutcome.timeout()
-        return ExecutionOutcome.sql_error(str(exc))
+            return ExecutionOutcome(STATUS_TIMEOUT, message="statement interrupted by timeout")
+        return ExecutionOutcome(STATUS_ERROR, message=str(exc))
     finally:
         # An overflow leaves the statement mid-fetch; finish it before the
         # connection runs the next one.

@@ -21,7 +21,7 @@ import tempfile
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from json import dumps as json_dumps  # _UrllibSession.post has a parameter named json
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -166,12 +166,7 @@ class CacheStore:
             "fingerprint": fingerprint,
             "request": exchange_payload(exchange),
             "texts": list(completion.texts),
-            "usage": None
-            if completion.usage is None
-            else {
-                "prompt_tokens": completion.usage.prompt_tokens,
-                "completion_tokens": completion.usage.completion_tokens,
-            },
+            "usage": None if completion.usage is None else asdict(completion.usage),
         }
         payload = json.dumps(entry, indent=2, sort_keys=True)
         with self._write_lock:

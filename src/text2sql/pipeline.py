@@ -46,7 +46,8 @@ from .evaluation import (
     execution_accuracy,
     gold_schema_items,
     recall_auc,
-    render_report,
+    report_json,
+    report_text,
     score_outcome,
 )
 from .executor import readonly
@@ -568,6 +569,6 @@ def run_eval_stage(
     table_auc, column_auc = recall_auc(per_question) if per_question else (None, None)
 
     report = build_report(eval_records, table_auc=table_auc, column_auc=column_auc)
-    _publish(out_dir / "report.json", render_report(report, "json").decode("utf-8"))
-    _publish(out_dir / "report.txt", render_report(report, "text").decode("utf-8"))
+    _publish(out_dir / "report.json", report_json(report))
+    _publish(out_dir / "report.txt", report_text(report))
     return report

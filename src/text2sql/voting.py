@@ -42,7 +42,11 @@ _DISCARD_REASONS = {STATUS_TIMEOUT: DISCARD_TIMEOUT, STATUS_OVERFLOW: DISCARD_OV
 
 _FENCE_BLOCK_RE = re.compile(r"```[a-zA-Z]*\n(.*?)```", re.DOTALL)
 # A language tag on the query's own line inside a fence: ```sql SELECT 1```.
-_INLINE_TAG_RE = re.compile(r"\A[ \t]*[a-zA-Z]+[ \t]+(?=(?:select|with)\b)", re.IGNORECASE)
+# A sql or sqlite tag goes whatever follows it (```sql count(*) FROM t```);
+# another word goes only before SELECT or WITH, as it may be a column name.
+_INLINE_TAG_RE = re.compile(
+    r"\A[ \t]*(?:sql(?:ite)?[ \t]+|[a-zA-Z]+[ \t]+(?=(?:select|with)\b))", re.IGNORECASE
+)
 _SQL_LINE_RE = re.compile(r"^\s*(select|with)\b", re.IGNORECASE)
 # Trailing whitespace and semicolons, in any mix. The lookbehind lets a match
 # start only where a run begins, which keeps the scan linear.

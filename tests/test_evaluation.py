@@ -17,7 +17,8 @@ from text2sql.evaluation import (
     gold_schema_items,
     pairwise_auc,
     recall_auc,
-    render_report,
+    report_json,
+    report_text,
     score_outcome,
     score_pair,
 )
@@ -244,6 +245,22 @@ def test_auc_matches_pairwise_oracle_randomized():
             assert got == pytest.approx(expected, abs=1e-12)
 
 
+def test_auc_equals_the_pairwise_oracle_exactly_on_large_tie_heavy_samples():
+    # Both count the same half-integer number of pairs won, so they agree to
+    # the bit; a one-class sample (share 0 or 1, size 0 or 1) gives None.
+    rng = random.Random(20)
+    grid = [i / 8 for i in range(9)]
+    undefined = 0
+    for _ in range(120):
+        size = rng.choice([0, 1, 2, 60, 150, 300])
+        share = rng.choice([0.0, 0.05, 0.5, 0.95, 1.0])
+        scored = [(rng.choice(grid), rng.random() < share) for _ in range(size)]
+        expected = _auc_oracle(scored)
+        assert pairwise_auc(scored) == expected
+        undefined += expected is None
+    assert 0 < undefined < 120
+
+
 # Scores on a coarse grid so the affine transform stays strictly monotone in
 # floating point (tiny magnitudes would collapse into new ties otherwise).
 @settings(max_examples=200)
@@ -276,18 +293,63 @@ def test_recall_auc_pools_across_questions():
 
 def test_render_empty_report_shows_na():
     report = build_report([])
-    text = render_report(report, "text").decode()
+    text = report_text(report)
     assert "n/a" in text
     assert "questions" in text
-    json_bytes = render_report(report, "json")
-    assert b'"overall_ex": null' in json_bytes
+    json_text = report_json(report)
+    assert '"overall_ex": null' in json_text
 
 
 def test_render_deterministic():
     records = [EvalRecord("0", "a", "b", "match", "easy")]
     report = build_report(records, table_auc=0.9, column_auc=0.8)
-    assert render_report(report, "json") == render_report(report, "json")
-    assert render_report(report, "text") == render_report(report, "text")
+    assert report_json(report) == report_json(report)
+    assert report_text(report) == report_text(report)
+
+
+def test_report_json_and_text_of_a_mixed_report():
+    records = [
+        EvalRecord("0", "", "", "match", "easy"),
+        EvalRecord("1", "", "", "match", "easy"),
+        EvalRecord("2", "", "", "mismatch", "easy"),
+        EvalRecord("3", "", "", "pred_error", "hard"),
+        EvalRecord("4", "", "", "gold_error", "hard"),
+        EvalRecord("5", "", "", "match", "hard"),
+        EvalRecord("6", "", "", "match", None),
+    ]
+    report = build_report(records, table_auc=None, column_auc=55 / 86)
+    assert report_json(report) == (
+        "{\n"
+        '  "column_auc": 0.6395348837209303,\n'
+        '  "counts": {\n'
+        '    "gold_error": 1,\n'
+        '    "match": 4,\n'
+        '    "mismatch": 1,\n'
+        '    "pred_error": 1\n'
+        "  },\n"
+        '  "overall_ex": 0.5714285714285714,\n'
+        '  "per_difficulty_ex": {\n'
+        '    "easy": 0.6666666666666666,\n'
+        '    "hard": 0.3333333333333333\n'
+        "  },\n"
+        '  "table_auc": null,\n'
+        '  "total": 7\n'
+        "}\n"
+    )
+    assert report_text(report) == (
+        "execution accuracy report\n"
+        "========================================\n"
+        "questions                              7\n"
+        "overall EX                        0.5714\n"
+        "EX [easy]                         0.6667\n"
+        "EX [hard]                         0.3333\n"
+        "match                                  4\n"
+        "mismatch                               1\n"
+        "pred_error                             1\n"
+        "gold_error                             1\n"
+        "table recall AUC                     n/a\n"
+        "column recall AUC                 0.6395\n"
+    )
 
 
 def test_report_difficulty_breakdown():

@@ -71,6 +71,14 @@ def test_postprocess_strips_a_language_tag_on_the_query_line_of_a_fence():
     assert postprocess_completion("sql SELECT 1", 0).text == "SELECT sql SELECT 1"
     assert postprocess_completion("```name FROM singer```", 0).text == "SELECT name FROM singer"
     assert postprocess_completion("```SELECT with_id FROM t```", 0).text == "SELECT with_id FROM t"
+    # A sql or sqlite tag is stripped whatever follows it, in any case.
+    assert postprocess_completion("```sql count(*) FROM singer```", 0).text == (
+        "SELECT count(*) FROM singer"
+    )
+    assert postprocess_completion("```SQLite\tname FROM singer;```", 0).text == "SELECT name FROM singer"
+    assert postprocess_completion("``` Sql  DISTINCT name FROM singer", 0).text == (
+        "SELECT DISTINCT name FROM singer"
+    )
 
 
 def test_postprocess_drops_leading_prose():
