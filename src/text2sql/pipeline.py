@@ -9,9 +9,11 @@ model call is out, so another question can vote while it waits. Twice that
 many threads run, one set waiting on POSTs (which ``LiveGateway`` bounds by
 the same number) and one voting. A replayed call waits on nothing, so replay's
 work is Python that threads cannot overlap: each stage forks up to
-max_inflight_requests worker processes instead. Threads and forked workers
-alike only hand back each question's answer; the thread that runs the stage
-appends them to the journal as they arrive, so it is the only journal writer.
+max_inflight_requests worker processes instead (or answers inline with one
+worker to run or no ``os.fork``) and reads their answers in question order.
+Threads and forked workers alike only hand back each question's answer; the
+thread that runs the stage appends them to the journal, so it is the only
+journal writer, and replay's journals are the same bytes at any worker count.
 
 EX is scored where the result tables already are: the vote hands back the
 gold query's outcome with its clusters (the gold text is usually one of the
@@ -240,7 +242,8 @@ def _threaded_answers(config: PipelineConfig, todo: list[Question], answer, gate
 
     A question works while it holds one of ``max_inflight_requests`` slots, so
     at most that many run SQLite at once; the gateway ``answer`` receives frees
-    the slot for the length of each completion.
+    the slot for the length of each completion, and another question can take
+    it then, so there are twice as many threads as slots.
     """
     slots = threading.BoundedSemaphore(config.max_inflight_requests)
     slot_gateway = _SlotReleasingGateway(gateway, slots)
@@ -249,34 +252,30 @@ def _threaded_answers(config: PipelineConfig, todo: list[Question], answer, gate
         with slots:
             return answer(question, slot_gateway)
 
-    # While a question waits on its POST another can hold its slot, so the
-    # network backends need a thread for each.
-    workers = config.max_inflight_requests * (1 if config.backend == "replay" else 2)
-    return _pool_as_completed(workers, process, todo)
+    return _pool_as_completed(2 * config.max_inflight_requests, process, todo)
 
 
 def _forked_answers(workers: int, todo: list[Question], answer, gateway):
     """Yield ``(index into todo, answer(question, gateway))`` for every
-    question in ``todo``, worked on ``workers`` forked processes, in the order
-    they arrive.
+    question in ``todo``, in question order, worked on ``workers`` forked
+    processes.
 
-    Child ``k`` takes questions ``k``, ``k + workers``, ... and sends
-    ``(index, answer)`` down its own pipe for each. A child that exits before
-    answering its whole shard yields ``worker exited with code N`` for each
-    question it did not answer. Every child is joined before the generator
+    Child ``k`` takes questions ``k``, ``k + workers``, ... and sends each
+    answer down its own pipe, so answer ``i`` is the next on pipe
+    ``i % workers``; each question a child left when it exited reads as
+    ``worker exited with code N``. Every child is joined before the generator
     finishes or is closed, and terminated first if it is still running.
     """
     # Imported here: importing multiprocessing takes a tenth of the set-up time.
     import multiprocessing
-    from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")
 
     def serve(sender, shard: range) -> None:
         for index in shard:
-            sender.send((index, answer(todo[index], gateway)))
+            sender.send(answer(todo[index], gateway))
 
-    children = {}  # receiving end -> (process, indices it has not answered)
+    children = []  # (receiving end, process), child k at position k
     try:
         for first in range(workers):
             shard = range(first, len(todo), workers)
@@ -287,26 +286,20 @@ def _forked_answers(workers: int, todo: list[Question], answer, gateway):
                     process.start()
             except OSError as exc:
                 raise Text2SqlError(f"cannot start a worker process: {exc}") from exc
-            children[receiver] = (process, set(shard))
-        pending = dict(children)
-        while pending:
-            for receiver in wait(list(pending)):
-                process, unanswered = pending[receiver]
-                try:
-                    index, result = receiver.recv()
-                except EOFError:
-                    del pending[receiver]
-                    process.join()
-                    for index in unanswered:
-                        yield index, f"worker exited with code {process.exitcode}"
-                    continue
-                unanswered.discard(index)
-                yield index, result
+            children.append((receiver, process))
+        for index in range(len(todo)):
+            receiver, process = children[index % workers]
+            try:
+                result = receiver.recv()
+            except EOFError:
+                process.join()
+                result = f"worker exited with code {process.exitcode}"
+            yield index, result
     finally:
-        for process, _ in children.values():
+        for _, process in children:
             if process.is_alive():
                 process.terminate()
-        for receiver, (process, _) in children.items():
+        for receiver, process in children:
             process.join()
             receiver.close()
 
@@ -327,14 +320,14 @@ def _run_stage(
     An exception from one question's work becomes a named failure in the
     summary instead of aborting the batch; failures are in question order.
 
-    The live and record backends work on threads (``_threaded_answers``).
-    Replay forks one worker process per work slot, or per question when there
-    are fewer (``_forked_answers``), and starts no thread before it forks; it
-    takes the thread path when there is one worker to run, or where the
-    platform cannot fork. Either way, the answers arrive here, on the thread
-    that called the stage, which appends each payload as it comes: this is the
-    only place that writes a journal line. Leaving the loop, by an exception
-    too, closes the answers, which stops the workers at once.
+    Live and record work on threads (``_threaded_answers``) and journal
+    answers as they finish. Replay journals them in question order: it forks
+    one worker process per work slot, or per question when there are fewer
+    (``_forked_answers``), starting no thread first, and answers inline when
+    there is one worker to run or the platform cannot fork. The answers arrive
+    on the thread that called the stage, which appends each payload: this is
+    the only place that writes a journal line. Leaving the loop, by an
+    exception too, closes the answers, which stops the workers at once.
     """
     journal = Journal(journal_path, fresh=force)
     todo = [question for question in questions if question.question_id not in journal.entries]
@@ -355,10 +348,12 @@ def _run_stage(
             return f"{type(exc).__name__}: {exc}"
 
     forks = min(config.max_inflight_requests, len(todo))
-    if config.backend == "replay" and forks > 1 and hasattr(os, "fork"):
+    if config.backend != "replay":
+        answers = _threaded_answers(config, todo, answer, gateway)
+    elif forks > 1 and hasattr(os, "fork"):
         answers = _forked_answers(forks, todo, answer, gateway)
     else:
-        answers = _threaded_answers(config, todo, answer, gateway)
+        answers = ((index, answer(question, gateway)) for index, question in enumerate(todo))
     failed: dict[int, str] = {}
     try:
         with journal.appending(), closing(answers):

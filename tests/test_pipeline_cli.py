@@ -187,8 +187,28 @@ def test_link_stage_writes_one_artifact_per_question(
     assert summary.ok
     assert summary.processed == len(questions)
     lines = _journal(tmp_path / LINK_JOURNAL)
-    assert sorted(p["question_id"] for p in lines) == sorted(q.question_id for q in questions)
+    assert [p["question_id"] for p in lines] == [q.question_id for q in questions]
     assert {"question_id", "linked", "scores"} <= lines[0].keys()
+
+
+def test_a_slow_first_question_does_not_reorder_the_journal(
+    catalog, questions, replay_config, tmp_path, monkeypatch
+):
+    # Four forked workers; the one holding question 0 answers it last of all.
+    assert replay_config.max_inflight_requests == 4
+    link_schema = pipeline.link_schema
+
+    def slow_link_schema(schema, question, gateway, config):
+        if question.question_id == questions[0].question_id:
+            time.sleep(0.3)
+        return link_schema(schema, question, gateway, config)
+
+    monkeypatch.setattr(pipeline, "link_schema", slow_link_schema)
+    summary = run_link_stage(catalog, questions, make_gateway(replay_config), replay_config, tmp_path)
+    assert summary.ok
+    assert multiprocessing.active_children() == []
+    lines = _journal(tmp_path / LINK_JOURNAL)
+    assert [p["question_id"] for p in lines] == [q.question_id for q in questions]
 
 
 def test_link_stage_resumes_with_zero_calls(catalog, questions, replay_config, tmp_path):
@@ -1333,10 +1353,8 @@ def test_resume_after_a_crash_at_every_journal_write(
         for name in stages:
             asked = {question_id for (question_id,) in requested.read(name)}
             assert asked == {q.question_id for q in questions} - journaled[name]
-            assert (out / name).read_bytes().endswith(b"\n")
-            assert sorted(line["question_id"] for line in _journal(out / name)) == sorted(
-                q.question_id for q in questions
-            )
+            expected = FIXTURES / f"expected_{name}"
+            assert (out / name).read_bytes() == expected.read_bytes(), (crash_at, name)
         for name in ("predictions", "report"):
             got = (out / f"{name}.json").read_bytes()
             assert got == (FIXTURES / f"expected_{name}.json").read_bytes(), (crash_at, name)
@@ -1364,8 +1382,8 @@ def test_a_worker_that_dies_fails_its_unanswered_questions(
     unanswered = [questions[5].question_id, questions[9].question_id]
     assert summary.failures == [(qid, "worker exited with code 3") for qid in unanswered]
     assert summary.processed == len(questions) - 2
-    journaled = sorted(line["question_id"] for line in _journal(tmp_path / LINK_JOURNAL))
-    assert journaled == sorted(q.question_id for q in questions if q.question_id not in unanswered)
+    journaled = [line["question_id"] for line in _journal(tmp_path / LINK_JOURNAL)]
+    assert journaled == [q.question_id for q in questions if q.question_id not in unanswered]
 
     monkeypatch.setattr(pipeline, "link_schema", link_schema)
     capsys.readouterr()
@@ -1408,9 +1426,7 @@ def test_forked_replay_matches_the_in_process_run(
         predictions = load_predictions(out / "predictions.json")
         run_eval_stage(catalog, questions, predictions, config, out)
         outputs[workers] = [(out / f"{name}.json").read_bytes() for name in ("predictions", "report")]
-        outputs[workers] += [
-            set((out / name).read_text().splitlines()) for name in (LINK_JOURNAL, VOTE_JOURNAL)
-        ]
+        outputs[workers] += [(out / name).read_bytes() for name in (LINK_JOURNAL, VOTE_JOURNAL)]
 
         run = f"empty{workers}"
         empty = dataclasses.replace(config, cache_dir=tmp_path / "empty")
@@ -1422,7 +1438,8 @@ def test_forked_replay_matches_the_in_process_run(
         assert multiprocessing.active_children() == []
 
     assert outputs[1] == outputs[4]
-    assert outputs[4][0] == (FIXTURES / "expected_predictions.json").read_bytes()
+    expected = ("predictions.json", "report.json", "link.jsonl", "votes.jsonl")
+    assert outputs[4] == [(FIXTURES / f"expected_{name}").read_bytes() for name in expected]
     assert failures[1] == failures[4]
     for stage_failures in failures[4]:
         assert [qid for qid, _ in stage_failures] == [q.question_id for q in questions]
@@ -1431,6 +1448,18 @@ def test_forked_replay_matches_the_in_process_run(
     assert len(forked) == 4 and os.getpid() not in forked
     # Four workers for each of the two stages, over the cache and the empty one.
     assert threads_at_fork == [threads] * 16
+
+
+def test_replay_without_fork_answers_inline_in_question_order(
+    catalog, questions, replay_cache, tmp_path, monkeypatch
+):
+    # Where os.fork is missing, four work slots start no worker and no thread.
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", None)
+    config = PipelineConfig(backend="replay", cache_dir=replay_cache, max_inflight_requests=4)
+    _generate(catalog, questions, config, tmp_path)
+    for name in (LINK_JOURNAL, VOTE_JOURNAL, "predictions.json"):
+        assert (tmp_path / name).read_bytes() == (FIXTURES / f"expected_{name}").read_bytes()
 
 
 def test_a_worker_pipe_that_cannot_be_made_is_not_a_journal_error(
