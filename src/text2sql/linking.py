@@ -3,7 +3,10 @@
 Both recall steps sample several completions in a single request, parse each
 sample best-effort, and vote: table recall keeps the most frequent top-k table
 set, column recall keeps the k most frequently recalled columns per table.
-Foreign keys survive only when both endpoint tables stay linked.
+Foreign keys survive only when both endpoint tables stay linked. Each
+distinct sample text is parsed once and counted by how often it occurs, which
+gives the same votes and scores as counting every copy; it saves work only
+when samples repeat.
 """
 
 from __future__ import annotations
@@ -119,6 +122,7 @@ MAX_OBJECT_DECODES = 32
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\n?|```")
 _QUOTED_RE = re.compile(r'["\']([^"\']+)["\']')
+_DECODER = JSONDecoder()
 
 
 def parse_table_list(text: str, schema: DatabaseSchema) -> list[str]:
@@ -131,10 +135,9 @@ def parse_table_list(text: str, schema: DatabaseSchema) -> list[str]:
     start = text.find("[")
     if start < 0:
         return []
-    decoder = JSONDecoder()
     entries: list[str] = []
     try:
-        parsed, _ = decoder.raw_decode(text[start:])
+        parsed, _ = _DECODER.raw_decode(text, start)
         entries = [item for item in parsed if isinstance(item, str)]
     except (ValueError, RecursionError):
         end = text.find("]", start)
@@ -185,10 +188,9 @@ def parse_column_dict(
 def _first_json_object(text: str):
     """The first JSON object that decodes at one of the first
     MAX_OBJECT_DECODES braces of ``text``; None when none does."""
-    decoder = JSONDecoder()
     for match in islice(re.finditer(r"\{", text), MAX_OBJECT_DECODES):
         try:
-            parsed, _ = decoder.raw_decode(text[match.start() :])
+            parsed, _ = _DECODER.raw_decode(text, match.start())
         except ValueError:
             continue
         except RecursionError:
@@ -209,14 +211,22 @@ def vote_table_sets(samples: Sequence[Sequence[str]], k_tables: int) -> list[str
     winning sample. Empty samples cast no vote, and with no vote the result is
     empty.
     """
+    return _vote_counted_table_sets([(sample, 1) for sample in samples], k_tables)
+
+
+def _vote_counted_table_sets(
+    counted: Sequence[tuple[Sequence[str], int]], k_tables: int
+) -> list[str]:
+    """`vote_table_sets` over (sample, count) pairs in first-occurrence order,
+    each standing for `count` identical samples."""
     first: dict[frozenset[str], list[str]] = {}
     counts: Counter[frozenset[str]] = Counter()
-    for sample in samples:
+    for sample, count in counted:
         top = list(sample[:k_tables])
         if top:
             key = frozenset(name.lower() for name in top)
             first.setdefault(key, top)
-            counts[key] += 1
+            counts[key] += count
     # max keeps the first of equal counts, and a Counter iterates its keys in
     # first-occurrence order.
     return first[max(counts, key=counts.__getitem__)] if counts else []
@@ -234,17 +244,28 @@ def vote_columns(
     across the samples containing the column, then by schema column order.
     A table nobody recalled falls back to its first k_columns schema columns.
     """
+    return _vote_counted_columns([(sample, 1) for sample in samples], k_columns, table_columns)
+
+
+def _vote_counted_columns(
+    counted: Sequence[tuple[Mapping[str, Sequence[str]], int]],
+    k_columns: int,
+    table_columns: Mapping[str, Sequence[str]],
+) -> dict[str, list[str]]:
+    """`vote_columns` over (sample, count) pairs, each standing for `count`
+    identical samples. The sums stay integers, so the mean ranks are the same
+    floats as when each copy is counted."""
     result: dict[str, list[str]] = {}
     for table, schema_columns in table_columns.items():
         known = set(schema_columns)
         occurrences: Counter[str] = Counter()
         rank_sums: dict[str, int] = {}
-        for sample in samples:
+        for sample, count in counted:
             for rank, column in enumerate(sample.get(table, ()), start=1):
                 if column not in known:
                     continue
-                occurrences[column] += 1
-                rank_sums[column] = rank_sums.get(column, 0) + rank
+                occurrences[column] += count
+                rank_sums[column] = rank_sums.get(column, 0) + rank * count
         if not occurrences:
             result[table] = list(schema_columns[:k_columns])
             continue
@@ -270,20 +291,22 @@ def link_schema(
     """Run both recall steps and assemble the linked subset of ``schema`` plus scores.
 
     Gateway errors propagate; a total parse failure falls back to the full
-    schema truncated to k_tables tables in schema order.
+    schema truncated to k_tables tables in schema order. Each distinct sample
+    text is parsed once and weighted by its count.
     """
     table_exchange = build_table_recall_prompt(schema, question, config)
-    table_completion = gateway.complete(table_exchange)
-    table_samples = [
-        parse_table_list(text, schema)[: config.k_tables] for text in table_completion.texts
+    table_texts = gateway.complete(table_exchange).texts
+    table_parses = [
+        (parse_table_list(text, schema)[: config.k_tables], count)
+        for text, count in Counter(table_texts).items()
     ]
     schema_tables = [name for name, _ in schema.tables]
-    table_scores = _frequency_scores(schema_tables, table_samples)
+    table_scores = _frequency_scores(schema_tables, table_parses, len(table_texts))
 
     if len(schema_tables) <= config.k_tables:
         linked_tables = schema_tables
     else:
-        linked_tables = vote_table_sets(table_samples, config.k_tables)
+        linked_tables = _vote_counted_table_sets(table_parses, config.k_tables)
         if not linked_tables:
             linked_tables = schema_tables[: config.k_tables]
             log.warning(
@@ -293,19 +316,20 @@ def link_schema(
             )
 
     column_exchange = build_column_recall_prompt(schema, linked_tables, question, config)
-    column_completion = gateway.complete(column_exchange)
+    column_texts = gateway.complete(column_exchange).texts
     linked_table_columns = {name: schema.columns_of(name) for name in linked_tables}
-    column_samples = [
-        parse_column_dict(text, linked_table_columns) for text in column_completion.texts
+    column_parses = [
+        (parse_column_dict(text, linked_table_columns), count)
+        for text, count in Counter(column_texts).items()
     ]
-    voted_columns = vote_columns(column_samples, config.k_columns, linked_table_columns)
+    voted_columns = _vote_counted_columns(column_parses, config.k_columns, linked_table_columns)
 
     column_scores: dict[tuple[str, str], float] = {}
     for name, cols in schema.tables:
         truncated = [
-            list(sample.get(name, ()))[: config.k_columns] for sample in column_samples
+            (sample.get(name, [])[: config.k_columns], count) for sample, count in column_parses
         ]
-        per_column = _frequency_scores(cols, truncated)
+        per_column = _frequency_scores(cols, truncated, len(column_texts))
         for col, score in per_column.items():
             column_scores[(name, col)] = score
 
@@ -318,12 +342,17 @@ def link_schema(
     return linked, RecallScores(table_scores=table_scores, column_scores=column_scores)
 
 
-def _frequency_scores(items: Sequence[str], samples: Sequence[Sequence[str]]) -> dict[str, float]:
+def _frequency_scores(
+    items: Sequence[str], counted: Sequence[tuple[Sequence[str], int]], total: int
+) -> dict[str, float]:
+    """The share of the `total` samples that hold each item, from (sample,
+    count) pairs. Integer counts keep every share the float that counting each
+    copy once would give."""
     scores = {item: 0.0 for item in items}
-    if not samples:
+    if not total:
         return scores
-    for sample in samples:
+    for sample, count in counted:
         for entry in sample:
             if entry in scores:
-                scores[entry] += 1.0
-    return {item: count / len(samples) for item, count in scores.items()}
+                scores[entry] += count
+    return {item: hits / total for item, hits in scores.items()}

@@ -2,20 +2,24 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from text2sql import linking
 from text2sql.catalog import DatabaseSchema, Question
 from text2sql.gateway import ChatCompletion
 from text2sql.linking import (
     MAX_OBJECT_DECODES,
+    LinkingConfig,
     build_column_recall_prompt,
     build_table_recall_prompt,
     link_schema,
     parse_column_dict,
     parse_table_list,
+    restrict_foreign_keys,
     vote_columns,
     vote_table_sets,
 )
@@ -381,3 +385,105 @@ def test_vote_columns_length_and_uniqueness(data, k):
         expected = len(recalled) if recalled else len(table_columns[table])
         assert len(cols) == min(k, expected)
         assert len(set(cols)) == len(cols)
+
+
+# Recall samples over car_1: JSON lists and objects, case and whitespace
+# variants, prose before the JSON, fences, and texts that do not parse. The
+# first two table lists rank the same top-4 set in different orders.
+TABLE_RECALL_POOL = (
+    '["car_makers", "model_list", "car_names", "cars_data", "countries", "continents"]',
+    '["cars_data", "car_names", "model_list", "car_makers"]',
+    '[ "CAR_MAKERS" , "Countries", "continents","model_list" ]',
+    'Ranked: ["countries", "continents", "car_makers", "cars_data"] as asked.',
+    '```json\n["cars_data", "car_names", "countries", "continents", "model_list"]\n```',
+    "I cannot rank these tables.",
+    "['car_names', 'cars_data', model_list",
+    '["cars_data", "engines", "cars_data", "car_names"]',
+)
+COLUMN_RECALL_POOL = (
+    '{"cars_data": ["horsepower", "year", "mpg", "id", "weight", "cylinders", "edispl"],'
+    ' "car_names": ["make", "model"], "model_list": ["model", "maker"],'
+    ' "car_makers": ["maker", "id", "fullname"]}',
+    '{"CARS_DATA": [" Year ", "MPG"], "Countries": ["countryname"],'
+    ' "continents": ["continent", "contid"], "car_makers": ["country", "maker"]}',
+    'Each column is explained above. {"cars_data": ["weight", "accelerate", "horsepower",'
+    ' "mpg", "edispl", "cylinders"], "car_names": ["makeid"]}',
+    '```json\n{"car_makers": ["fullname"], "countries": ["continent", "countryid"],'
+    ' "model_list": ["modelid"]}\n```',
+    "No JSON object here.",
+    '{"cars_data": ["mpg", "torque", "mpg"], "engines": ["x"], "car_names": "make"}',
+    '{"cars_data": ["year"',
+)
+
+
+class _ScriptedRecall:
+    """Answers table recall, then column recall, with the given samples."""
+
+    def __init__(self, table_texts, column_texts):
+        self.answers = iter((table_texts, column_texts))
+
+    def complete(self, exchange):
+        return ChatCompletion(texts=tuple(next(self.answers)))
+
+
+def _link_oracle(schema, table_texts, column_texts):
+    """What link_schema returns, from the per-sample functions with every
+    sample parsed and counted on its own: a score is the number of samples
+    whose kept top-k holds the item, over the number of samples."""
+    config = LinkingConfig()
+    names = [name for name, _ in schema.tables]
+    table_samples = [parse_table_list(text, schema)[: config.k_tables] for text in table_texts]
+    linked = names
+    if len(names) > config.k_tables:
+        linked = vote_table_sets(table_samples, config.k_tables) or names[: config.k_tables]
+    table_columns = {name: schema.columns_of(name) for name in linked}
+    column_samples = [parse_column_dict(text, table_columns) for text in column_texts]
+    voted = vote_columns(column_samples, config.k_columns, table_columns)
+    table_scores = {
+        name: sum(name in sample for sample in table_samples) / len(table_texts)
+        for name in names
+    }
+    column_scores = {
+        (name, col): sum(
+            col in sample.get(name, [])[: config.k_columns] for sample in column_samples
+        )
+        / len(column_texts)
+        for name, cols in schema.tables
+        for col in cols
+    }
+    tables = tuple((name, tuple(voted[name])) for name in linked)
+    return tables, restrict_foreign_keys(schema.foreign_keys, linked), table_scores, column_scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    table_texts=st.lists(st.sampled_from(TABLE_RECALL_POOL), min_size=1, max_size=10),
+    column_texts=st.lists(st.sampled_from(COLUMN_RECALL_POOL), min_size=1, max_size=10),
+)
+def test_link_schema_counts_repeated_samples_as_separate_ones(
+    car_schema, car_question, table_texts, column_texts
+):
+    linked, scores = link_schema(
+        car_schema, car_question, _ScriptedRecall(table_texts, column_texts)
+    )
+    tables, fks, table_scores, column_scores = _link_oracle(car_schema, table_texts, column_texts)
+    assert linked.tables == tables
+    assert list(linked.foreign_keys) == fks
+    assert list(scores.table_scores.items()) == list(table_scores.items())
+    assert list(scores.column_scores.items()) == list(column_scores.items())
+
+
+def test_link_schema_parses_each_distinct_recall_text_once(car_schema, car_question, monkeypatch):
+    calls = Counter()
+    for name in ("parse_table_list", "parse_column_dict"):
+        original = getattr(linking, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(linking, name, counting)
+    table_texts = [TABLE_RECALL_POOL[i % 3] for i in range(10)]
+    column_texts = [COLUMN_RECALL_POOL[i % 3] for i in range(10)]
+    link_schema(car_schema, car_question, _ScriptedRecall(table_texts, column_texts))
+    assert calls == {"parse_table_list": 3, "parse_column_dict": 3}
