@@ -54,7 +54,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
         ("--no-foreign-keys", "include_foreign_keys"),
     ):
         parser.add_argument(flag, dest=field, action="store_false", default=None)
-    parser.add_argument("--force", action="store_true", help="recompute existing artifacts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,6 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name)
         _add_dataset_args(sub)
         _add_config_args(sub)
+        if name in ("link", "generate", "run"):
+            sub.add_argument("--force", action="store_true", help="recompute existing artifacts")
         if name == "eval":
             sub.add_argument("--predictions", type=Path, default=None,
                              help="predictions file (defaults to <out>/predictions.json)")

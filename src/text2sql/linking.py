@@ -4,9 +4,9 @@ Both recall steps sample several completions in a single request, parse each
 sample best-effort, and vote: table recall keeps the most frequent top-k table
 set, column recall keeps the k most frequently recalled columns per table.
 Foreign keys survive only when both endpoint tables stay linked. Each
-distinct sample text is parsed once and counted by how often it occurs, which
-gives the same votes and scores as counting every copy; it saves work only
-when samples repeat.
+distinct sample text is parsed once, and the votes and scores take (parse,
+count) pairs, which gives the same results as counting every copy; it saves
+work only when samples repeat.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from json import JSONDecoder
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .catalog import DatabaseSchema, FkRelation, Question, format_fk_line, format_table_line
 from .gateway import ChatExchange, ChatMessage
@@ -202,8 +202,10 @@ def _first_json_object(text: str):
     return None
 
 
-def vote_table_sets(samples: Sequence[Sequence[str]], k_tables: int) -> list[str]:
-    """Pick the most frequent top-k table set across samples.
+def vote_table_sets(counted: Sequence[tuple[Sequence[str], int]], k_tables: int) -> list[str]:
+    """Pick the most frequent top-k table set across samples, given as
+    (sample, count) pairs in first-occurrence order, each standing for
+    ``count`` identical samples.
 
     Each sample is truncated to its first k_tables entries and compared as an
     unordered set; frequency ties go to the set whose first occurrence has the
@@ -211,14 +213,6 @@ def vote_table_sets(samples: Sequence[Sequence[str]], k_tables: int) -> list[str
     winning sample. Empty samples cast no vote, and with no vote the result is
     empty.
     """
-    return _vote_counted_table_sets([(sample, 1) for sample in samples], k_tables)
-
-
-def _vote_counted_table_sets(
-    counted: Sequence[tuple[Sequence[str], int]], k_tables: int
-) -> list[str]:
-    """`vote_table_sets` over (sample, count) pairs in first-occurrence order,
-    each standing for `count` identical samples."""
     first: dict[frozenset[str], list[str]] = {}
     counts: Counter[frozenset[str]] = Counter()
     for sample, count in counted:
@@ -233,28 +227,20 @@ def _vote_counted_table_sets(
 
 
 def vote_columns(
-    samples: Sequence[Mapping[str, Sequence[str]]],
-    k_columns: int,
-    table_columns: Mapping[str, Sequence[str]],
-) -> dict[str, list[str]]:
-    """Keep the k most frequently recalled columns per table.
-
-    Occurrences are counted over each sample's full recalled list (entries
-    outside the table's schema are ignored); ties break by lower mean rank
-    across the samples containing the column, then by schema column order.
-    A table nobody recalled falls back to its first k_columns schema columns.
-    """
-    return _vote_counted_columns([(sample, 1) for sample in samples], k_columns, table_columns)
-
-
-def _vote_counted_columns(
     counted: Sequence[tuple[Mapping[str, Sequence[str]], int]],
     k_columns: int,
     table_columns: Mapping[str, Sequence[str]],
 ) -> dict[str, list[str]]:
-    """`vote_columns` over (sample, count) pairs, each standing for `count`
-    identical samples. The sums stay integers, so the mean ranks are the same
-    floats as when each copy is counted."""
+    """Keep the k most frequently recalled columns per table, over (sample,
+    count) pairs, each standing for ``count`` identical samples.
+
+    Occurrences are counted over each sample's full recalled list (entries
+    outside the table's schema are ignored); ties break by lower mean rank
+    across the samples containing the column, then by schema column order.
+    The rank sums stay integers, so the mean ranks are the same floats as when
+    each copy is counted. A table nobody recalled falls back to its first
+    k_columns schema columns.
+    """
     result: dict[str, list[str]] = {}
     for table, schema_columns in table_columns.items():
         known = set(schema_columns)
@@ -292,7 +278,8 @@ def link_schema(
 
     Gateway errors propagate; a total parse failure falls back to the full
     schema truncated to k_tables tables in schema order. Each distinct sample
-    text is parsed once and weighted by its count.
+    text is parsed once and weighted by its count. A column's score is the
+    share of column samples whose first k_columns for its table hold it.
     """
     table_exchange = build_table_recall_prompt(schema, question, config)
     table_texts = gateway.complete(table_exchange).texts
@@ -306,7 +293,7 @@ def link_schema(
     if len(schema_tables) <= config.k_tables:
         linked_tables = schema_tables
     else:
-        linked_tables = _vote_counted_table_sets(table_parses, config.k_tables)
+        linked_tables = vote_table_sets(table_parses, config.k_tables)
         if not linked_tables:
             linked_tables = schema_tables[: config.k_tables]
             log.warning(
@@ -322,16 +309,13 @@ def link_schema(
         (parse_column_dict(text, linked_table_columns), count)
         for text, count in Counter(column_texts).items()
     ]
-    voted_columns = _vote_counted_columns(column_parses, config.k_columns, linked_table_columns)
-
-    column_scores: dict[tuple[str, str], float] = {}
-    for name, cols in schema.tables:
-        truncated = [
-            (sample.get(name, [])[: config.k_columns], count) for sample, count in column_parses
-        ]
-        per_column = _frequency_scores(cols, truncated, len(column_texts))
-        for col, score in per_column.items():
-            column_scores[(name, col)] = score
+    voted_columns = vote_columns(column_parses, config.k_columns, linked_table_columns)
+    kept_columns = [
+        ([(name, col) for name, cols in sample.items() for col in cols[: config.k_columns]], count)
+        for sample, count in column_parses
+    ]
+    schema_columns = [(name, col) for name, cols in schema.tables for col in cols]
+    column_scores = _frequency_scores(schema_columns, kept_columns, len(column_texts))
 
     fks = restrict_foreign_keys(schema.foreign_keys, linked_tables)
     linked = DatabaseSchema(
@@ -343,8 +327,8 @@ def link_schema(
 
 
 def _frequency_scores(
-    items: Sequence[str], counted: Sequence[tuple[Sequence[str], int]], total: int
-) -> dict[str, float]:
+    items: Sequence[Hashable], counted: Sequence[tuple[Sequence[Hashable], int]], total: int
+) -> dict[Hashable, float]:
     """The share of the `total` samples that hold each item, from (sample,
     count) pairs. Integer counts keep every share the float that counting each
     copy once would give."""

@@ -13,7 +13,10 @@ max_inflight_requests worker processes instead (or answers inline with one
 worker to run or no ``os.fork``) and reads their answers in question order.
 Threads and forked workers alike only hand back each question's answer; the
 thread that runs the stage appends them to the journal, so it is the only
-journal writer, and replay's journals are the same bytes at any worker count.
+journal writer. A stage that finishes seals its journal in dataset order, so
+a finished journal is the same bytes under every backend, at any worker count
+and after any resume; while a live or record stage runs, its lines are in
+the order the questions finished.
 
 EX is scored where the result tables already are: the vote hands back the
 gold query's outcome with its clusters (the gold text is usually one of the
@@ -115,11 +118,13 @@ class Journal:
     line that is not such an object is a Text2SqlError naming it. Each line
     is appended with one write and a flush, so an interrupted run leaves at
     most a torn final line (no newline), which reading ignores and appending
-    cuts off."""
+    cuts off. ``seal`` puts the lines in question order once a stage is done;
+    a journal that was never sealed is just as valid."""
 
     def __init__(self, path: Path, fresh: bool = False):
         self.path = path
         self.entries: dict[str, dict] = {}
+        self._order: list[str] = []  # the question_id of each complete line, in file order
         self._lock = threading.Lock()
         try:
             data = b"" if fresh else path.read_bytes()
@@ -136,6 +141,7 @@ class Journal:
             if not isinstance(payload, dict) or not isinstance(payload.get("question_id"), str):
                 raise Text2SqlError(f"{path} line {number}: not a JSON object with a question_id")
             self.entries[payload["question_id"]] = payload
+            self._order.append(payload["question_id"])
 
     @contextmanager
     def appending(self):
@@ -146,12 +152,30 @@ class Journal:
             yield
 
     def append(self, payload: dict) -> None:
-        line = json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+        line = _journal_line(payload).encode("utf-8")
         with self._lock:
             self._file.write(line)
             self._file.flush()
             self._end += len(line)
             self.entries[payload["question_id"]] = payload
+            self._order.append(payload["question_id"])
+
+    def seal(self, question_ids: list[str]) -> None:
+        """Leave one line per question: those of ``question_ids`` first, in
+        that order, then the others in file order. A file that is already so
+        is not rewritten; any other is replaced whole from ``entries``."""
+        listed = [qid for qid in question_ids if qid in self.entries]
+        order = list(dict.fromkeys([*listed, *self.entries]))
+        if order == self._order:
+            return
+        text = "".join(_journal_line(self.entries[qid]) for qid in order)
+        atomic_write_text(self.path, text)
+        self._order = order
+        self._end = len(text.encode("utf-8"))
+
+
+def _journal_line(payload: dict) -> str:
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def _link_artifact(question: Question, linked: DatabaseSchema, scores: RecallScores) -> dict:
@@ -327,7 +351,10 @@ def _run_stage(
     there is one worker to run or the platform cannot fork. The answers arrive
     on the thread that called the stage, which appends each payload: this is
     the only place that writes a journal line. Leaving the loop, by an
-    exception too, closes the answers, which stops the workers at once.
+    exception too, closes the answers, which stops the workers at once. Once
+    every answer is in, the journal is sealed in question order
+    (``Journal.seal``); a stage cut short leaves it unsealed, and resuming it
+    reads it the same.
     """
     journal = Journal(journal_path, fresh=force)
     todo = [question for question in questions if question.question_id not in journal.entries]
@@ -362,6 +389,7 @@ def _run_stage(
                     failed[index] = result
                 else:
                     journal.append(result)
+        journal.seal([question.question_id for question in questions])
     except OSError as exc:
         raise Text2SqlError(f"cannot write {journal_path}: {exc}") from exc
     failures = [(todo[index].question_id, failed[index]) for index in sorted(failed)]

@@ -114,39 +114,39 @@ def test_parse_table_list_keeps_first_duplicate(concert_schema):
 
 def test_vote_table_sets_strict_majority():
     samples = [["a", "b", "c", "d"]] * 6 + [["a", "b", "c", "e"]] * 4
-    assert vote_table_sets(samples, 4) == ["a", "b", "c", "d"]
+    assert vote_table_sets([(s, 1) for s in samples], 4) == ["a", "b", "c", "d"]
 
 
 def test_vote_table_sets_unanimous():
     samples = [["x", "y"]] * 10
-    assert vote_table_sets(samples, 4) == ["x", "y"]
+    assert vote_table_sets([(s, 1) for s in samples], 4) == ["x", "y"]
 
 
 def test_vote_table_sets_tie_prefers_earlier_sample():
     samples = [["a", "b"]] * 5 + [["c", "d"]] * 5
-    assert vote_table_sets(samples, 2) == ["a", "b"]
+    assert vote_table_sets([(s, 1) for s in samples], 2) == ["a", "b"]
     samples = [["c", "d"]] + [["a", "b"]] * 4 + [["c", "d"]] * 4 + [["a", "b"]]
-    assert vote_table_sets(samples, 2) == ["c", "d"]
+    assert vote_table_sets([(s, 1) for s in samples], 2) == ["c", "d"]
 
 
 def test_vote_table_sets_order_from_earliest_winning_sample():
     samples = [["b", "a"], ["a", "b"], ["a", "b"]]
     # All three are the same set; the earliest sample's order wins.
-    assert vote_table_sets(samples, 2) == ["b", "a"]
+    assert vote_table_sets([(s, 1) for s in samples], 2) == ["b", "a"]
 
 
 def test_vote_table_sets_truncates_before_voting():
     samples = [["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]]
-    assert vote_table_sets(samples, 2) == ["a", "b"]
+    assert vote_table_sets([(s, 1) for s in samples], 2) == ["a", "b"]
 
 
 def test_vote_table_sets_ignores_empty_votes():
     samples = [[], ["a", "b"], []]
-    assert vote_table_sets(samples, 2) == ["a", "b"]
+    assert vote_table_sets([(s, 1) for s in samples], 2) == ["a", "b"]
 
 
 def test_vote_table_sets_all_empty_is_empty():
-    assert vote_table_sets([[], [], []], 4) == []
+    assert vote_table_sets([(s, 1) for s in [[], [], []]], 4) == []
 
 
 def test_parse_column_dict_plain():
@@ -184,13 +184,13 @@ def test_parse_column_dict_missing_table_is_empty():
 def test_vote_columns_frequency_dominates():
     samples = [{"t": ["a", "b"]}] * 10
     samples[3] = {"t": ["b"]}
-    out = vote_columns(samples, 1, {"t": ["a", "b", "c"]})
+    out = vote_columns([(s, 1) for s in samples], 1, {"t": ["a", "b", "c"]})
     assert out == {"t": ["b"]}  # b in 10 samples, a in 9
 
 
 def test_vote_columns_small_table_keeps_all():
     samples = [{"t": ["c", "a", "b"]}] * 4
-    out = vote_columns(samples, 5, {"t": ["a", "b", "c"]})
+    out = vote_columns([(s, 1) for s in samples], 5, {"t": ["a", "b", "c"]})
     assert sorted(out["t"]) == ["a", "b", "c"]
     assert len(out["t"]) == 3
 
@@ -215,20 +215,20 @@ def test_vote_columns_mean_rank_breaks_ties():
         {"t": []},
     ]
     # f: ranks 1,1,1,3,1,2,3 -> mean 12/7; g: 3,2,3,2,3,3,1 -> mean 17/7
-    out = vote_columns(samples, 2, {"t": ["g", "f", "z"]})
+    out = vote_columns([(s, 1) for s in samples], 2, {"t": ["g", "f", "z"]})
     assert out["t"][0] == "f"
 
 
 def test_vote_columns_schema_order_final_tiebreak():
     samples = [{"t": ["a", "b"]}, {"t": ["b", "a"]}]
-    out = vote_columns(samples, 2, {"t": ["b", "a"]})
+    out = vote_columns([(s, 1) for s in samples], 2, {"t": ["b", "a"]})
     # Equal frequency, equal mean rank: schema order decides.
     assert out["t"] == ["b", "a"]
 
 
 def test_vote_columns_fallback_to_schema_prefix():
     samples = [{"t": []}, {}]
-    out = vote_columns(samples, 2, {"t": ["c1", "c2", "c3"]})
+    out = vote_columns([(s, 1) for s in samples], 2, {"t": ["c1", "c2", "c3"]})
     assert out["t"] == ["c1", "c2"]
 
 
@@ -364,7 +364,7 @@ def test_strict_majority_set_always_wins(majority, noise, seed):
     rng = random.Random(seed)
     samples = [list(majority) for _ in range(len(noise) + 1)] + [list(s) for s in noise]
     rng.shuffle(samples)
-    winner = vote_table_sets(samples, 4)
+    winner = vote_table_sets([(s, 1) for s in samples], 4)
     assert frozenset(winner) == frozenset(majority)
 
 
@@ -379,7 +379,7 @@ def test_strict_majority_set_always_wins(majority, noise, seed):
 )
 def test_vote_columns_length_and_uniqueness(data, k):
     table_columns = {"t1": ["a", "b", "c", "d", "e", "f", "g"], "t2": ["a", "b", "c"]}
-    out = vote_columns([data], k, table_columns)
+    out = vote_columns([(s, 1) for s in [data]], k, table_columns)
     for table, cols in out.items():
         recalled = [c for c in data.get(table, []) if c in table_columns[table]]
         expected = len(recalled) if recalled else len(table_columns[table])
@@ -435,10 +435,13 @@ def _link_oracle(schema, table_texts, column_texts):
     table_samples = [parse_table_list(text, schema)[: config.k_tables] for text in table_texts]
     linked = names
     if len(names) > config.k_tables:
-        linked = vote_table_sets(table_samples, config.k_tables) or names[: config.k_tables]
+        linked = (
+            vote_table_sets([(s, 1) for s in table_samples], config.k_tables)
+            or names[: config.k_tables]
+        )
     table_columns = {name: schema.columns_of(name) for name in linked}
     column_samples = [parse_column_dict(text, table_columns) for text in column_texts]
-    voted = vote_columns(column_samples, config.k_columns, table_columns)
+    voted = vote_columns([(s, 1) for s in column_samples], config.k_columns, table_columns)
     table_scores = {
         name: sum(name in sample for sample in table_samples) / len(table_texts)
         for name in names

@@ -35,8 +35,9 @@ from text2sql.gateway import (
     LiveGateway,
     RecordingGateway,
     ReplayGateway,
+    request_fingerprint,
 )
-from text2sql.linking import RecallScores
+from text2sql.linking import RecallScores, build_table_recall_prompt
 from text2sql.minicorpus import ScriptedModel, seed_replay_cache
 from text2sql.pipeline import (
     LINK_JOURNAL,
@@ -219,6 +220,49 @@ def test_link_stage_resumes_with_zero_calls(catalog, questions, replay_config, t
     summary = run_link_stage(catalog, questions, counting, replay_config, tmp_path)
     assert counting.calls == first_calls
     assert summary.skipped == len(questions)
+
+
+def test_a_question_answered_on_resume_takes_its_place_in_the_journal(
+    catalog, questions, replay_cache, tmp_path
+):
+    cache_dir = tmp_path / "cache"
+    shutil.copytree(replay_cache, cache_dir)
+    config = PipelineConfig(backend="replay", cache_dir=cache_dir)
+    question = questions[5]
+    exchange = build_table_recall_prompt(catalog[question.db_id], question, config.linking_config())
+    entry = CacheStore(cache_dir).path_for(request_fingerprint(exchange))
+    entry.rename(tmp_path / "moved.json")
+    summary = run_link_stage(catalog, questions, make_gateway(config), config, tmp_path / "arts")
+    assert [question_id for question_id, _ in summary.failures] == [question.question_id]
+
+    (tmp_path / "moved.json").rename(entry)
+    summary = run_link_stage(catalog, questions, make_gateway(config), config, tmp_path / "arts")
+    assert (summary.processed, summary.skipped, summary.failures) == (1, len(questions) - 1, [])
+    got = (tmp_path / "arts" / LINK_JOURNAL).read_bytes()
+    assert got == (FIXTURES / f"expected_{LINK_JOURNAL}").read_bytes()
+
+
+class _SlowQuestionModel:
+    """The scripted model, answering every prompt about one question late."""
+
+    def __init__(self, question, delay_s=0.2):
+        self.model = ScriptedModel()
+        self.marker = f"### {question.text}"
+        self.delay_s = delay_s
+
+    def complete(self, exchange):
+        if self.marker in exchange.messages[-1].content:
+            time.sleep(self.delay_s)
+        return self.model.complete(exchange)
+
+
+def test_record_stages_on_threads_leave_the_fixture_journals(catalog, questions, tmp_path):
+    # Record answers on threads as they finish, and question 0 finishes last.
+    config = PipelineConfig(backend="record", cache_dir=tmp_path / "cache", max_inflight_requests=4)
+    gateway = RecordingGateway(_SlowQuestionModel(questions[0]), CacheStore(config.cache_dir))
+    _generate(catalog, questions, config, tmp_path, gateway)
+    for name in (LINK_JOURNAL, VOTE_JOURNAL):
+        assert (tmp_path / name).read_bytes() == (FIXTURES / f"expected_{name}").read_bytes(), name
 
 
 def test_replay_miss_records_failure_naming_fingerprint(
@@ -645,6 +689,24 @@ def test_cli_run_replay_end_to_end(corpus_dir, replay_cache, tmp_path, capsys):
     assert got == (FIXTURES / "expected_report.json").read_text()
     out = capsys.readouterr().out
     assert "overall EX" in out
+
+
+def test_cli_force_recomputes_only_the_journaling_stages(
+    corpus_dir, replay_cache, questions, tmp_path, capsys
+):
+    args = _cli_args(corpus_dir, replay_cache, tmp_path)
+    assert main(["run", *args]) == 0
+    capsys.readouterr()
+    assert main(["run", *args, "--force"]) == 0
+    out = capsys.readouterr().out
+    for stage in ("link", "generate"):
+        assert f"[{stage}] processed={len(questions)} skipped=0 failed=0\n" in out
+    for name in (LINK_JOURNAL, VOTE_JOURNAL, "predictions.json", "report.json"):
+        assert (tmp_path / name).read_bytes() == (FIXTURES / f"expected_{name}").read_bytes(), name
+    for command in (["eval"], ["dump-prompt", "--question-id", "0"]):
+        with pytest.raises(SystemExit) as refused:
+            main([*command, *args, "--force"])
+        assert refused.value.code == 2, command
 
 
 def test_cli_eval_scores_unencodable_prediction_as_pred_error(corpus_dir, questions, tmp_path):
