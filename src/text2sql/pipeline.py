@@ -8,15 +8,19 @@ max_inflight_requests work slots while it works, and hands it back while its
 model call is out, so another question can vote while it waits. Twice that
 many threads run, one set waiting on POSTs (which ``LiveGateway`` bounds by
 the same number) and one voting. A replayed call waits on nothing, so replay's
-work is Python that threads cannot overlap: each stage forks up to
-max_inflight_requests worker processes instead (or answers inline with one
-worker to run or no ``os.fork``) and reads their answers in question order.
-Threads and forked workers alike only hand back each question's answer; the
-thread that runs the stage appends them to the journal, so it is the only
-journal writer. A stage that finishes seals its journal in dataset order, so
-a finished journal is the same bytes under every backend, at any worker count
-and after any resume; while a live or record stage runs, its lines are in
-the order the questions finished.
+work is Python that threads cannot overlap: each stage runs up to
+max_inflight_requests worker processes instead, its own and one forked child
+per other worker (none with one worker or no ``os.fork``), and reads their
+answers in question order. The stage's process works ahead on its own shard
+while the next answer is a child's and not there yet. Threads and workers
+alike only hand back each question's answer; the thread that runs the stage
+appends them to the journal, so it is the only journal writer. A forked child
+that dies fails only the questions it had not answered; a hard crash of the
+stage's process (an OOM kill, a segfault) ends the run, as it does at one
+worker and on threads. A stage that finishes seals its journal in dataset
+order, so a finished journal is the same bytes under every backend, at any
+worker count and after any resume; while a live or record stage runs, its
+lines are in the order the questions finished.
 
 EX is scored where the result tables already are: the vote hands back the
 gold query's outcome with its clusters (the gold text is usually one of the
@@ -204,31 +208,41 @@ def _score(value) -> float:
     return value
 
 
-def _read_link(links: Journal, question: Question) -> tuple[DatabaseSchema, RecallScores] | None:
-    """The linked schema and recall scores journaled for a question, if any.
-    Names must be strings, columns an array, and scores numbers from 0 to 1."""
+def _read_link(links: Journal, question: Question, read):
+    """``read`` applied to the line journaled for a question (``_linked_schema``
+    or ``_recall_scores``), or None when there is no line. A line ``read``
+    cannot take is a Text2SqlError naming the journal and the question."""
     payload = links.entries.get(question.question_id)
     if payload is None:
         return None
     try:
-        linked, scores = payload["linked"], payload["scores"]
-        table_scores = {name: _score(value) for name, value in scores["tables"].items()}
-        column_scores = {
-            _strings([table, column]): _score(value) for table, column, value in scores["columns"]
-        }
-        return (
-            DatabaseSchema(
-                db_id=linked["db_id"],
-                tables=tuple((name, _strings(cols)) for name, cols in linked["tables"]),
-                foreign_keys=tuple(FkRelation(*_strings(item)) for item in linked["foreign_keys"]),
-            ),
-            RecallScores(table_scores=table_scores, column_scores=column_scores),
-        )
+        return read(payload)
     except (LookupError, TypeError, ValueError, AttributeError, SpiderFormatError) as exc:
         raise Text2SqlError(
             f"unreadable artifact in {links.path} for question {question.question_id}: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
+
+
+def _linked_schema(payload: dict) -> DatabaseSchema:
+    """A link line's linked schema; names must be strings, columns an array."""
+    linked = payload["linked"]
+    return DatabaseSchema(
+        db_id=linked["db_id"],
+        tables=tuple((name, _strings(cols)) for name, cols in linked["tables"]),
+        foreign_keys=tuple(FkRelation(*_strings(item)) for item in linked["foreign_keys"]),
+    )
+
+
+def _recall_scores(payload: dict) -> RecallScores:
+    """A link line's recall scores; each must be a number from 0 to 1."""
+    scores = payload["scores"]
+    return RecallScores(
+        table_scores={name: _score(value) for name, value in scores["tables"].items()},
+        column_scores={
+            _strings([table, column]): _score(value) for table, column, value in scores["columns"]
+        },
+    )
 
 
 def _pool_as_completed(workers: int, fn, items):
@@ -281,49 +295,70 @@ def _threaded_answers(config: PipelineConfig, todo: list[Question], answer, gate
 
 def _forked_answers(workers: int, todo: list[Question], answer, gateway):
     """Yield ``(index into todo, answer(question, gateway))`` for every
-    question in ``todo``, in question order, worked on ``workers`` forked
-    processes.
+    question in ``todo``, in question order, worked on ``workers`` processes:
+    the one running the stage and ``workers - 1`` forked children.
 
-    Child ``k`` takes questions ``k``, ``k + workers``, ... and sends each
-    answer down its own pipe, so answer ``i`` is the next on pipe
-    ``i % workers``; each question a child left when it exited reads as
-    ``worker exited with code N``. Every child is joined before the generator
-    finishes or is closed, and terminated first if it is still running.
+    The stage's process takes questions ``0``, ``workers``, ``2 * workers``,
+    ...; child ``k`` takes ``k``, ``k + workers``, ... and sends each answer
+    down its own pipe, so answer ``i`` is the next on child ``i % workers``'s
+    pipe. While that pipe has nothing yet, the stage's process works ahead on
+    its own questions and holds their answers until their turn. Each question
+    a child left when it exited reads as ``worker exited with code N``; the
+    stage's own questions have no such isolation, so a hard crash there (an
+    OOM kill, a segfault) ends the run. One worker forks nothing. Every child
+    is joined before the generator finishes or is closed, and terminated
+    first if it is still running.
     """
-    # Imported here: importing multiprocessing takes a tenth of the set-up time.
-    import multiprocessing
+    children = {}  # k -> (receiving end, process) of child k
+    held = {}  # index -> an answer the stage's process worked out ahead of its turn
+    ahead = 0  # the stage's process's next question
 
-    context = multiprocessing.get_context("fork")
+    def work_ahead() -> None:
+        nonlocal ahead
+        held[ahead] = answer(todo[ahead], gateway)
+        ahead += workers
 
-    def serve(sender, shard: range) -> None:
-        for index in shard:
-            sender.send(answer(todo[index], gateway))
-
-    children = []  # (receiving end, process), child k at position k
     try:
-        for first in range(workers):
-            shard = range(first, len(todo), workers)
-            try:
-                receiver, sender = context.Pipe(duplex=False)
-                with sender:  # the parent's copy closes, so the child's exit reads as EOF
-                    process = context.Process(target=serve, args=(sender, shard))
-                    process.start()
-            except OSError as exc:
-                raise Text2SqlError(f"cannot start a worker process: {exc}") from exc
-            children.append((receiver, process))
+        if workers > 1:
+            # Imported here: importing multiprocessing takes a tenth of the set-up time.
+            import multiprocessing
+
+            context = multiprocessing.get_context("fork")
+
+            def serve(sender, shard: range) -> None:
+                for index in shard:
+                    sender.send(answer(todo[index], gateway))
+
+            for first in range(1, workers):
+                shard = range(first, len(todo), workers)
+                try:
+                    receiver, sender = context.Pipe(duplex=False)
+                    with sender:  # the parent's copy closes, so the child's exit reads as EOF
+                        process = context.Process(target=serve, args=(sender, shard))
+                        process.start()
+                except OSError as exc:
+                    raise Text2SqlError(f"cannot start a worker process: {exc}") from exc
+                children[first] = (receiver, process)
         for index in range(len(todo)):
-            receiver, process = children[index % workers]
-            try:
-                result = receiver.recv()
-            except EOFError:
-                process.join()
-                result = f"worker exited with code {process.exitcode}"
+            if index % workers:
+                receiver, process = children[index % workers]
+                while ahead < len(todo) and not receiver.poll():
+                    work_ahead()
+                try:
+                    result = receiver.recv()
+                except EOFError:
+                    process.join()
+                    result = f"worker exited with code {process.exitcode}"
+            else:
+                if index == ahead:
+                    work_ahead()
+                result = held.pop(index)
             yield index, result
     finally:
-        for _, process in children:
+        for _, process in children.values():
             if process.is_alive():
                 process.terminate()
-        for receiver, process in children:
+        for receiver, process in children.values():
             process.join()
             receiver.close()
 
@@ -345,16 +380,16 @@ def _run_stage(
     summary instead of aborting the batch; failures are in question order.
 
     Live and record work on threads (``_threaded_answers``) and journal
-    answers as they finish. Replay journals them in question order: it forks
-    one worker process per work slot, or per question when there are fewer
-    (``_forked_answers``), starting no thread first, and answers inline when
-    there is one worker to run or the platform cannot fork. The answers arrive
-    on the thread that called the stage, which appends each payload: this is
-    the only place that writes a journal line. Leaving the loop, by an
-    exception too, closes the answers, which stops the workers at once. Once
-    every answer is in, the journal is sealed in question order
-    (``Journal.seal``); a stage cut short leaves it unsealed, and resuming it
-    reads it the same.
+    answers as they finish. Replay journals them in question order
+    (``_forked_answers``) from one worker per work slot, or per question when
+    there are fewer, and from one where the platform cannot fork. The stage's
+    process is one of the workers and forks a child for each other one,
+    starting no thread first. The answers arrive on the thread that called
+    the stage, which appends each payload: this is the only place that writes
+    a journal line. Leaving the loop, by an exception too, closes the
+    answers, which stops the children at once. Once every answer is in, the
+    journal is sealed in question order (``Journal.seal``); a stage cut short
+    leaves it unsealed, and resuming it reads it the same.
     """
     journal = Journal(journal_path, fresh=force)
     todo = [question for question in questions if question.question_id not in journal.entries]
@@ -374,13 +409,11 @@ def _run_stage(
             )
             return f"{type(exc).__name__}: {exc}"
 
-    forks = min(config.max_inflight_requests, len(todo))
     if config.backend != "replay":
         answers = _threaded_answers(config, todo, answer, gateway)
-    elif forks > 1 and hasattr(os, "fork"):
-        answers = _forked_answers(forks, todo, answer, gateway)
     else:
-        answers = ((index, answer(question, gateway)) for index, question in enumerate(todo))
+        workers = min(config.max_inflight_requests, len(todo)) if hasattr(os, "fork") else 1
+        answers = _forked_answers(max(workers, 1), todo, answer, gateway)
     failed: dict[int, str] = {}
     try:
         with journal.appending(), closing(answers):
@@ -423,10 +456,10 @@ def generation_view(
     ``links``, the link journal, when linking is on, else the full schema."""
     if not config.effective_use_linking:
         return schema
-    linked = _read_link(links, question)
+    linked = _read_link(links, question, _linked_schema)
     if linked is None:
         raise Text2SqlError(f"{links.path} has no line for question {question.question_id}")
-    return linked[0]
+    return linked
 
 
 def _vote_trace(question: Question, vote: VoteResult) -> dict:
@@ -579,8 +612,8 @@ def run_eval_stage(
     with ExitStack() as stack:
         connections = {}  # db_id -> connection, opened at the database's first gold query
         for question in questions:
-            linked = _read_link(links, question)
-            if linked is None:
+            scores = _read_link(links, question, _recall_scores)
+            if scores is None:
                 continue
             connection = connections.get(question.db_id)
             if connection is None:
@@ -588,7 +621,7 @@ def run_eval_stage(
                 connection = connections[question.db_id] = stack.enter_context(readonly(path))
             gold_items = gold_schema_items(question.gold_sql, connection)
             if gold_items is not None:
-                per_question.append((linked[1], *gold_items))
+                per_question.append((scores, *gold_items))
     table_auc, column_auc = recall_auc(per_question) if per_question else (None, None)
 
     report = build_report(eval_records, table_auc=table_auc, column_auc=column_auc)

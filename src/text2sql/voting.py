@@ -1,11 +1,11 @@
 """Execution-consistency voting over sampled SQL completions.
 
-Completions are normalized into runnable candidates, executed once per distinct
-text on one read-only connection per question, and grouped by result
-equivalence. ``cluster_by_execution`` alone decides the order of the groups,
-so the winner is the first member of the first group: the lowest sample index
-in the largest group. Errors, timeouts, oversized results, and unparseable
-completions are removed before voting.
+Completions are normalized into runnable candidates, once per distinct
+completion, executed once per distinct text on one read-only connection per
+question, and grouped by result equivalence. ``cluster_by_execution`` alone
+decides the order of the groups, so the winner is the first member of the
+first group: the lowest sample index in the largest group. Errors, timeouts,
+oversized results, and unparseable completions are removed before voting.
 
 The vote also hands back the question's gold query outcome, which EX scoring
 needs: the outcome of the candidate whose text is exactly the gold query when
@@ -220,14 +220,22 @@ def generate_sql(
     schema, or the full one without linking) and vote on the samples by their
     results on ``db_path``, each statement under ``config.exec_timeout``.
 
-    A single sample goes through the same vote, so a lone failing sample is
-    discarded and returned as the flagged fallback. A question with gold SQL
-    gets its outcome in ``reference_outcome``, from the same vote.
+    Each distinct completion is post-processed once; a repeat gets its own
+    candidate with the same text. A single sample goes through the same vote,
+    so a lone failing sample is discarded and returned as the flagged
+    fallback. A question with gold SQL gets its outcome in
+    ``reference_outcome``, from the same vote.
     """
     completion = gateway.complete(generation_request(question, view, config))
-    candidates = [
-        postprocess_completion(text, index) for index, text in enumerate(completion.texts)
-    ]
+    first: dict[str, SqlCandidate] = {}  # raw completion -> its first sample's candidate
+    candidates = []
+    for index, raw in enumerate(completion.texts):
+        seen = first.get(raw)
+        if seen is None:
+            first[raw] = candidate = postprocess_completion(raw, index)
+        else:
+            candidate = SqlCandidate(seen.text, index, raw)
+        candidates.append(candidate)
 
     clusters, discarded, reference = cluster_by_execution(
         candidates, db_path, timeout=config.exec_timeout, reference_sql=question.gold_sql

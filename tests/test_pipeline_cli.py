@@ -1199,6 +1199,26 @@ def test_cli_mistyped_link_line_is_named_error(
     assert f"unreadable artifact in {journal} for question 0: {named}" in err
 
 
+def test_a_mistyped_score_fails_eval_but_not_generate(
+    catalog, questions, replay_config, tmp_path
+):
+    # Generate reads a link line's linked schema only, eval its scores only.
+    gateway = make_gateway(replay_config)
+    assert run_link_stage(catalog, questions, gateway, replay_config, tmp_path).ok
+    journal = tmp_path / LINK_JOURNAL
+    line = next(entry for entry in _journal(journal) if entry["question_id"] == "0")
+    _string_table_score(line)
+    _append_line(journal, json.dumps(line))
+    assert run_generate_stage(catalog, questions, gateway, replay_config, tmp_path).ok
+    got = (tmp_path / "predictions.json").read_bytes()
+    assert got == (FIXTURES / "expected_predictions.json").read_bytes()
+    predictions = load_predictions(tmp_path / "predictions.json")
+    with pytest.raises(Text2SqlError) as raised:
+        run_eval_stage(catalog, questions, predictions, replay_config, tmp_path)
+    named = "ValueError: 'high' is not a score from 0 to 1"
+    assert str(raised.value) == f"unreadable artifact in {journal} for question 0: {named}"
+
+
 def test_cli_deeply_nested_journal_line_is_named_error(corpus_dir, replay_cache, tmp_path, capsys):
     # Deeper than CPython's C recursion limit on every supported version, so
     # json raises RecursionError rather than ValueError.
@@ -1270,7 +1290,9 @@ def test_link_journal_line_reads_back_as_written(linked_and_scores):
         with journal.appending():
             journal.append(pipeline._link_artifact(question, linked, scores))
         reread = pipeline.Journal(journal.path)
-    assert pipeline._read_link(reread, question) == (linked, scores)
+    read_linked = pipeline._read_link(reread, question, pipeline._linked_schema)
+    read_scores = pipeline._read_link(reread, question, pipeline._recall_scores)
+    assert (read_linked, read_scores) == (linked, scores)
 
 
 def test_cli_generate_lists_unreadable_vote_trace_as_failure(
@@ -1459,8 +1481,9 @@ def test_a_worker_that_dies_fails_its_unanswered_questions(
 def test_forked_replay_matches_the_in_process_run(
     catalog, questions, replay_cache, tmp_path, monkeypatch
 ):
-    # One work slot runs the stages in the test process; four fork a worker
-    # each, from the thread that called the stage and no other.
+    # One work slot runs the stages in the test process; four work a shard
+    # there and fork three children, from the thread that called the stage
+    # and no other.
     pids = _CallLog(tmp_path / "pids.jsonl")
     link_schema = pipeline.link_schema
     fork = os.fork
@@ -1506,10 +1529,84 @@ def test_forked_replay_matches_the_in_process_run(
     for stage_failures in failures[4]:
         assert [qid for qid, _ in stage_failures] == [q.question_id for q in questions]
     assert {pid for (pid,) in pids.read("workers1")} == {os.getpid()}
-    forked = {pid for (pid,) in pids.read("workers4")}
-    assert len(forked) == 4 and os.getpid() not in forked
-    # Four workers for each of the two stages, over the cache and the empty one.
-    assert threads_at_fork == [threads] * 16
+    worked = {pid for (pid,) in pids.read("workers4")}
+    assert len(worked) == 4 and os.getpid() in worked
+    # Three children for each of the two stages, over the cache and the empty one.
+    assert threads_at_fork == [threads] * 12
+
+
+def test_the_stage_process_works_a_shard_and_forks_one_child_fewer(
+    catalog, questions, replay_config, tmp_path, monkeypatch
+):
+    # Four workers: the test's process answers questions 0, 4 and 8 of each
+    # stage itself, and each of three children answers every fourth of the rest.
+    assert replay_config.max_inflight_requests == 4 and len(questions) == 12
+    answered = _CallLog(tmp_path / "answered.jsonl")
+    link_schema, generate_sql, fork = pipeline.link_schema, pipeline.generate_sql, os.fork
+    forks = []
+
+    def watched_link_schema(schema, question, gateway, config):
+        answered.add("link", question.question_id, os.getpid())
+        return link_schema(schema, question, gateway, config)
+
+    def watched_generate_sql(question, view, gateway, db_path, config):
+        answered.add("generate", question.question_id, os.getpid())
+        return generate_sql(question, view, gateway, db_path, config)
+
+    def watched_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(pipeline, "link_schema", watched_link_schema)
+    monkeypatch.setattr(pipeline, "generate_sql", watched_generate_sql)
+    monkeypatch.setattr(os, "fork", watched_fork)
+    gateway = make_gateway(replay_config)
+    forks_per_stage = []
+    for stage in (run_link_stage, run_generate_stage):
+        before = len(forks)
+        assert stage(catalog, questions, gateway, replay_config, tmp_path).ok
+        forks_per_stage.append(len(forks) - before)
+    assert forks_per_stage == [3, 3]
+
+    ids = [question.question_id for question in questions]
+    for kind in ("link", "generate"):
+        by_pid = {}
+        for question_id, pid in answered.read(kind):
+            by_pid.setdefault(pid, []).append(question_id)
+        assert sorted(by_pid.pop(os.getpid())) == sorted(ids[0::4]), kind
+        assert sorted(map(sorted, by_pid.values())) == sorted(sorted(ids[k::4]) for k in (1, 2, 3))
+    for name in (LINK_JOURNAL, VOTE_JOURNAL, "predictions.json"):
+        assert (tmp_path / name).read_bytes() == (FIXTURES / f"expected_{name}").read_bytes()
+
+
+def test_the_stage_process_works_ahead_while_a_child_is_slow(
+    catalog, questions, replay_config, tmp_path, monkeypatch
+):
+    # Question 1 is a child's and takes 0.3 s; meanwhile the test's process
+    # answers its own questions 4 and 8 instead of waiting for answer 1.
+    assert replay_config.max_inflight_requests == 4
+    answered = _CallLog(tmp_path / "answered.jsonl")
+    link_schema = pipeline.link_schema
+
+    def slow_link_schema(schema, question, gateway, config):
+        if question.question_id == questions[1].question_id:
+            time.sleep(0.3)
+        linked = link_schema(schema, question, gateway, config)
+        answered.add("link", question.question_id, os.getpid(), time.monotonic())
+        return linked
+
+    monkeypatch.setattr(pipeline, "link_schema", slow_link_schema)
+    summary = run_link_stage(catalog, questions, make_gateway(replay_config), replay_config, tmp_path)
+    assert summary.ok
+    assert multiprocessing.active_children() == []
+    done = {question_id: (pid, at) for question_id, pid, at in answered.read("link")}
+    slow_pid, slow_done = done[questions[1].question_id]
+    assert slow_pid != os.getpid()
+    for own in (questions[4], questions[8]):
+        pid, at = done[own.question_id]
+        assert pid == os.getpid() and at < slow_done, own.question_id
+    got = (tmp_path / LINK_JOURNAL).read_bytes()
+    assert got == (FIXTURES / f"expected_{LINK_JOURNAL}").read_bytes()
 
 
 def test_replay_without_fork_answers_inline_in_question_order(

@@ -390,6 +390,28 @@ def test_generate_sql_majority_of_fourteen(concert_db, singer_view, question):
     assert sum(c.size for c in result.clusters) + len(result.discarded) == 20
 
 
+def test_generate_sql_postprocesses_each_distinct_completion_once(
+    concert_db, singer_view, question, monkeypatch
+):
+    calls = []
+
+    def counting_postprocess(raw, sample_index):
+        calls.append((raw, sample_index))
+        return postprocess_completion(raw, sample_index)
+
+    monkeypatch.setattr(voting, "postprocess_completion", counting_postprocess)
+    raw = "```sql\ncount(*) FROM singer;\n```"
+    result = generate_sql(
+        question, singer_view, _FixedGateway([raw] * 20), concert_db, PipelineConfig(n_samples=20)
+    )
+    assert calls == [(raw, 0)]
+    [cluster] = result.clusters
+    assert [c.sample_index for c in cluster.members] == list(range(20))
+    assert {(c.text, c.raw_completion) for c in cluster.members} == {
+        ("SELECT count(*) FROM singer", raw)
+    }
+
+
 def test_generate_sql_single_sample_votes_alone(concert_db, singer_view, question):
     result = generate_sql(
         question,
