@@ -39,10 +39,12 @@ import json
 import logging
 import os
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TypeVar
 
 from .catalog import DatabaseSchema, FkRelation, Question, read_json_file
 from .config import PipelineConfig, api_key_from_env
@@ -63,6 +65,8 @@ from .executor import readonly
 from .gateway import CacheStore, LiveGateway, RecordingGateway, ReplayGateway, atomic_write_text
 from .linking import RecallScores, link_schema
 from .voting import VoteResult, generate_sql
+
+T = TypeVar("T")
 
 log = logging.getLogger(__name__)
 
@@ -208,7 +212,7 @@ def _score(value) -> float:
     return value
 
 
-def _read_link(links: Journal, question: Question, read):
+def _read_link(links: Journal, question: Question, read: Callable[[dict], T]) -> T | None:
     """``read`` applied to the line journaled for a question (``_linked_schema``
     or ``_recall_scores``), or None when there is no line. A line ``read``
     cannot take is a Text2SqlError naming the journal and the question."""
