@@ -24,7 +24,7 @@ from .pipeline import (
     run_generate_stage,
     run_link_stage,
 )
-from .prompts import LAYOUT_CLEAR, LAYOUT_COMPLICATED
+from .prompts import LAYOUTS
 from .voting import generation_request
 
 EXIT_OK = 0
@@ -46,7 +46,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-samples", type=int, default=None)
     parser.add_argument("--recall-samples", type=int, default=None)
     parser.add_argument("--temperature", type=float, default=None)
-    parser.add_argument("--layout", choices=(LAYOUT_CLEAR, LAYOUT_COMPLICATED), default=None)
+    parser.add_argument("--layout", choices=LAYOUTS, default=None)
     for flag, field in (
         ("--no-calibration", "use_calibration"),
         ("--no-linking", "use_linking"),
@@ -174,7 +174,7 @@ def cmd_dump_prompt(args: argparse.Namespace) -> int:
     if question is None:
         raise ConfigurationError(f"no question with id {args.question_id!r}")
     links = Journal(args.out / LINK_JOURNAL) if config.effective_use_linking else None
-    view = generation_view(config, links, question, catalog[question.db_id])
+    view = generation_view(links, question, catalog[question.db_id])
     for message in generation_request(question, view, config).messages:
         _emit(f"--- {message.role} ---\n{message.content}\n")
     return EXIT_OK

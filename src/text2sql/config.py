@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from dataclasses import dataclass
@@ -11,9 +10,7 @@ from typing import Any, Mapping, get_type_hints
 
 from .errors import ConfigurationError
 from .linking import LinkingConfig
-from .prompts import LAYOUT_CLEAR, LAYOUT_COMPLICATED, PromptConfig
-
-log = logging.getLogger(__name__)
+from .prompts import LAYOUT_CLEAR, LAYOUT_COMPLICATED, LAYOUTS, PromptConfig
 
 BACKENDS = ("live", "record", "replay")
 ENV_PREFIX = "TEXT2SQL_"
@@ -53,7 +50,7 @@ class PipelineConfig:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.backend not in BACKENDS:
             raise ConfigurationError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.layout not in (LAYOUT_CLEAR, LAYOUT_COMPLICATED):
+        if self.layout not in LAYOUTS:
             raise ConfigurationError(f"unknown layout {self.layout!r}")
         # A NaN deadline never fires, and an infinite temperature is no JSON
         # number in the request body.
@@ -166,7 +163,6 @@ def load_config(
     return PipelineConfig(**coerced)
 
 
-def api_key_from_env(env: Mapping[str, str] | None = None) -> str:
-    env = os.environ if env is None else env
-    return env.get(API_KEY_ENV, "") or env.get("OPENAI_API_KEY", "")
+def api_key_from_env() -> str:
+    return os.environ.get(API_KEY_ENV, "") or os.environ.get("OPENAI_API_KEY", "")
 

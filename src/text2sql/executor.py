@@ -46,10 +46,10 @@ TOLERANT_MATCH_MAX_ROWS = 1000
 # one clock read, and 10 000 instructions take well under a millisecond.
 PROGRESS_CHECK_OPS = 10_000
 
-# What sqlite3 raises for SQL it cannot prepare or run. Text it cannot take (a
-# NUL, a lone surrogate, a second statement) raises ValueError or, before
-# Python 3.11, Warning.
-SQL_FAILURES = (sqlite3.Error, sqlite3.Warning, ValueError)
+# What sqlite3 raises for SQL it cannot prepare or run. Text it cannot take
+# raises ProgrammingError (a NUL, a second statement) or UnicodeEncodeError, a
+# ValueError (a lone surrogate).
+SQL_FAILURES = (sqlite3.Error, ValueError)
 
 STATUS_SUCCESS = "success"
 STATUS_ERROR = "error"

@@ -148,16 +148,15 @@ class CacheStore:
         """The recorded completion of a request for ``n`` samples, or None when
         there is no entry. An entry that does not parse, or whose ``texts`` is
         not ``n`` strings, raises CacheCorruptError."""
-        path = self.path_for(fingerprint)
-        if not path.is_file():
-            return None
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
+            entry = json.loads(self.path_for(fingerprint).read_text(encoding="utf-8"))
             usage = entry.get("usage")
             return ChatCompletion(
                 texts=_require_n_texts(entry["texts"], n),
                 usage=TokenUsage(**usage) if usage else None,
             )
+        except FileNotFoundError:
+            return None
         except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
             raise CacheCorruptError(fingerprint, exc) from exc
 
@@ -178,10 +177,10 @@ class CacheStore:
         return sorted(p.stem for p in self.directory.glob("*.json"))
 
     def load_request(self, fingerprint: str) -> dict | None:
-        path = self.path_for(fingerprint)
-        if not path.is_file():
+        try:
+            return json.loads(self.path_for(fingerprint).read_text(encoding="utf-8")).get("request")
+        except FileNotFoundError:
             return None
-        return json.loads(path.read_text(encoding="utf-8")).get("request")
 
 
 class ReplayGateway:

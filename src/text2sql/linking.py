@@ -120,7 +120,6 @@ def restrict_foreign_keys(
 # demo and the benchmark record decodes at its first brace.
 MAX_OBJECT_DECODES = 32
 
-_FENCE_RE = re.compile(r"```[a-zA-Z]*\n?|```")
 _QUOTED_RE = re.compile(r'["\']([^"\']+)["\']')
 _DECODER = JSONDecoder()
 
@@ -160,10 +159,10 @@ def parse_column_dict(
     """Extract the first JSON object and filter it to real linked-table columns.
 
     Keys and values are matched case-insensitively; anything unknown is dropped
-    and tables missing from the completion come back as empty lists.
+    and tables missing from the completion come back as empty lists. A code
+    fence around the object needs no stripping: it holds no brace.
     """
-    stripped = _FENCE_RE.sub("", text)
-    parsed = _first_json_object(stripped)
+    parsed = _first_json_object(text)
 
     canonical_tables = {name.lower(): name for name in table_columns}
     result: dict[str, list[str]] = {name: [] for name in table_columns}

@@ -8,19 +8,19 @@ max_inflight_requests work slots while it works, and hands it back while its
 model call is out, so another question can vote while it waits. Twice that
 many threads run, one set waiting on POSTs (which ``LiveGateway`` bounds by
 the same number) and one voting. A replayed call waits on nothing, so replay's
-work is Python that threads cannot overlap: each stage runs up to
-max_inflight_requests worker processes instead, its own and one forked child
-per other worker (none with one worker or no ``os.fork``), and reads their
-answers in question order. The stage's process works ahead on its own shard
-while the next answer is a child's and not there yet. Threads and workers
-alike only hand back each question's answer; the thread that runs the stage
-appends them to the journal, so it is the only journal writer. A forked child
-that dies fails only the questions it had not answered; a hard crash of the
-stage's process (an OOM kill, a segfault) ends the run, as it does at one
-worker and on threads. A stage that finishes seals its journal in dataset
-order, so a finished journal is the same bytes under every backend, at any
-worker count and after any resume; while a live or record stage runs, its
-lines are in the order the questions finished.
+work is Python that threads cannot overlap. Each stage runs worker processes
+instead, no more than max_inflight_requests or the CPUs it may use: its own,
+and one forked child per other worker (none with one worker or no
+``os.fork``). It reads their answers in question order, and works ahead on
+its own shard while the next answer is a child's and not there yet. Threads
+and workers alike only hand back each question's answer; the thread that runs
+the stage appends them to the journal, so it is the only journal writer. A
+forked child that dies fails only the questions it had not answered; a hard
+crash of the stage's process (an OOM kill, a segfault) ends the run, as it
+does at one worker and on threads. A stage that finishes seals its journal
+in dataset order, so a finished journal is the same bytes under every
+backend, at any worker count and after any resume; while a live or record
+stage runs, its lines are in the order the questions finished.
 
 EX is scored where the result tables already are: the vote hands back the
 gold query's outcome with its clusters (the gold text is usually one of the
@@ -83,7 +83,7 @@ class StageSummary:
         return not self.failures
 
 
-def make_gateway(config: PipelineConfig, api_key: str | None = None):
+def make_gateway(config: PipelineConfig):
     """Build the gateway for the configured backend.
 
     The replay backend never touches the network; live/record require an API
@@ -92,7 +92,7 @@ def make_gateway(config: PipelineConfig, api_key: str | None = None):
     cache = CacheStore(config.cache_dir)
     if config.backend == "replay":
         return ReplayGateway(cache)
-    key = api_key if api_key is not None else api_key_from_env()
+    key = api_key_from_env()
     if not key:
         raise ConfigurationError(
             f"backend {config.backend!r} needs an API key (set TEXT2SQL_API_KEY)"
@@ -297,6 +297,13 @@ def _threaded_answers(config: PipelineConfig, todo: list[Question], answer, gate
     return _pool_as_completed(2 * config.max_inflight_requests, process, todo)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which bound replay's workers."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _forked_answers(workers: int, todo: list[Question], answer, gateway):
     """Yield ``(index into todo, answer(question, gateway))`` for every
     question in ``todo``, in question order, worked on ``workers`` processes:
@@ -385,8 +392,9 @@ def _run_stage(
 
     Live and record work on threads (``_threaded_answers``) and journal
     answers as they finish. Replay journals them in question order
-    (``_forked_answers``) from one worker per work slot, or per question when
-    there are fewer, and from one where the platform cannot fork. The stage's
+    (``_forked_answers``) from as many workers as the smallest of
+    ``max_inflight_requests``, the usable CPUs (``usable_cpus``) and the
+    questions, and from one where the platform cannot fork. The stage's
     process is one of the workers and forks a child for each other one,
     starting no thread first. The answers arrive on the thread that called
     the stage, which appends each payload: this is the only place that writes
@@ -416,7 +424,8 @@ def _run_stage(
     if config.backend != "replay":
         answers = _threaded_answers(config, todo, answer, gateway)
     else:
-        workers = min(config.max_inflight_requests, len(todo)) if hasattr(os, "fork") else 1
+        cpus = usable_cpus() if hasattr(os, "fork") else 1
+        workers = min(config.max_inflight_requests, cpus, len(todo))
         answers = _forked_answers(max(workers, 1), todo, answer, gateway)
     failed: dict[int, str] = {}
     try:
@@ -454,11 +463,11 @@ def run_link_stage(
 
 
 def generation_view(
-    config: PipelineConfig, links: Journal | None, question: Question, schema: DatabaseSchema
+    links: Journal | None, question: Question, schema: DatabaseSchema
 ) -> DatabaseSchema:
     """The schema a question's generation prompt shows: its linked schema from
-    ``links``, the link journal, when linking is on, else the full schema."""
-    if not config.effective_use_linking:
+    ``links``, the link journal, or the full schema without one (linking off)."""
+    if links is None:
         return schema
     linked = _read_link(links, question, _linked_schema)
     if linked is None:
@@ -493,7 +502,7 @@ def run_generate_stage(
     links = Journal(out_dir / LINK_JOURNAL) if config.effective_use_linking else None
 
     def work(question: Question, schema: DatabaseSchema, gateway) -> dict:
-        view = generation_view(config, links, question, schema)
+        view = generation_view(links, question, schema)
         vote = generate_sql(question, view, gateway, schema.sqlite_path, config)
         trace = _vote_trace(question, vote)
         if question.gold_sql is not None:

@@ -19,6 +19,7 @@ log = logging.getLogger(__name__)
 
 LAYOUT_CLEAR = "clear"
 LAYOUT_COMPLICATED = "complicated"
+LAYOUTS = (LAYOUT_CLEAR, LAYOUT_COMPLICATED)
 
 GENERATION_INSTRUCTION = (
     "### Complete sqlite SQL query only and with no explanation, and do not select "
@@ -71,7 +72,7 @@ class PromptConfig:
     include_foreign_keys: bool = True
 
     def __post_init__(self) -> None:
-        if self.layout not in (LAYOUT_CLEAR, LAYOUT_COMPLICATED):
+        if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
 
 

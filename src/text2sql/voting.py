@@ -57,7 +57,6 @@ _TRAILING_RE = re.compile(r"(?<![\s;])[\s;]+\Z")
 class SqlCandidate:
     text: str
     sample_index: int
-    raw_completion: str
 
     @property
     def unparseable(self) -> bool:
@@ -123,10 +122,10 @@ def postprocess_completion(raw: str, sample_index: int) -> SqlCandidate:
 
     text = _TRAILING_RE.sub("", text).strip()
     if not text:
-        return SqlCandidate(text="", sample_index=sample_index, raw_completion=raw)
+        return SqlCandidate(text="", sample_index=sample_index)
     if not _SQL_LINE_RE.match(text):
         text = f"SELECT {text}"
-    return SqlCandidate(text=text, sample_index=sample_index, raw_completion=raw)
+    return SqlCandidate(text=text, sample_index=sample_index)
 
 
 def cluster_by_execution(
@@ -234,7 +233,7 @@ def generate_sql(
         if seen is None:
             first[raw] = candidate = postprocess_completion(raw, index)
         else:
-            candidate = SqlCandidate(seen.text, index, raw)
+            candidate = SqlCandidate(seen.text, index)
         candidates.append(candidate)
 
     clusters, discarded, reference = cluster_by_execution(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import time
 from collections import Counter
@@ -161,9 +162,17 @@ def test_parse_column_dict_plain():
     }
 
 
-def test_parse_column_dict_strips_fences():
-    text = '```json\n{"t": ["a"]}\n```'
-    assert parse_column_dict(text, {"t": ["a", "b"]}) == {"t": ["a"]}
+_names = st.from_regex(r"[a-z_][a-z0-9_]{0,11}", fullmatch=True)
+
+
+@given(
+    columns=st.dictionaries(_names, st.lists(_names, max_size=5, unique=True), max_size=4),
+    prose=st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="{`"), max_size=40),
+)
+def test_parse_column_dict_strips_fences(columns, prose):
+    bare = json.dumps(columns)
+    for text in (bare, f"```json\n{bare}\n```", f"```\n{bare}\n```", f"{prose}\n{bare}"):
+        assert parse_column_dict(text, columns) == columns, text
 
 
 def test_parse_column_dict_drops_cross_table_column():

@@ -25,7 +25,7 @@ from text2sql import evaluation, executor, pipeline, voting
 from text2sql.catalog import DatabaseSchema, FkRelation, Question
 from text2sql.cli import main
 from text2sql.config import BACKENDS, PipelineConfig, load_config
-from text2sql.errors import ConfigurationError, Text2SqlError
+from text2sql.errors import ConfigurationError, SpiderFormatError, Text2SqlError
 from text2sql.evaluation import score_pair
 from text2sql.gateway import (
     CacheStore,
@@ -111,6 +111,12 @@ def replay_config(replay_cache):
     return PipelineConfig(backend="replay", cache_dir=replay_cache)
 
 
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Replay may use four CPUs, so four work slots make four workers on any host."""
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 4)
+
+
 def _journal(path):
     """The payload of each complete line of a stage journal, in order."""
     text = path.read_text(encoding="utf-8") if path.exists() else ""
@@ -192,26 +198,6 @@ def test_link_stage_writes_one_artifact_per_question(
     assert {"question_id", "linked", "scores"} <= lines[0].keys()
 
 
-def test_a_slow_first_question_does_not_reorder_the_journal(
-    catalog, questions, replay_config, tmp_path, monkeypatch
-):
-    # Four forked workers; the one holding question 0 answers it last of all.
-    assert replay_config.max_inflight_requests == 4
-    link_schema = pipeline.link_schema
-
-    def slow_link_schema(schema, question, gateway, config):
-        if question.question_id == questions[0].question_id:
-            time.sleep(0.3)
-        return link_schema(schema, question, gateway, config)
-
-    monkeypatch.setattr(pipeline, "link_schema", slow_link_schema)
-    summary = run_link_stage(catalog, questions, make_gateway(replay_config), replay_config, tmp_path)
-    assert summary.ok
-    assert multiprocessing.active_children() == []
-    lines = _journal(tmp_path / LINK_JOURNAL)
-    assert [p["question_id"] for p in lines] == [q.question_id for q in questions]
-
-
 def test_link_stage_resumes_with_zero_calls(catalog, questions, replay_config, tmp_path):
     counting = CountingGateway(make_gateway(replay_config))
     run_link_stage(catalog, questions, counting, replay_config, tmp_path)
@@ -276,7 +262,9 @@ def test_replay_miss_records_failure_naming_fingerprint(
         assert re.search(r"[0-9a-f]{64}", message)
 
 
-def test_gateway_concurrency_stays_bounded(catalog, questions, replay_config, tmp_path):
+def test_gateway_concurrency_stays_bounded(
+    catalog, questions, replay_config, tmp_path, four_cpus
+):
     # A small delay forces the pool to actually overlap requests.
     counting = CountingGateway(make_gateway(replay_config), delay=0.01)
     run_link_stage(catalog, questions, counting, replay_config, tmp_path)
@@ -1151,6 +1139,32 @@ def test_cli_eval_scores_questions_absent_from_predictions_as_mismatches(
     assert report["counts"]["mismatch"] == len(questions) - 1
 
 
+def test_cli_eval_of_questions_without_gold_sql_is_named_error(
+    corpus_dir, replay_cache, tmp_path, capsys
+):
+    records = json.loads((corpus_dir / "questions.json").read_text())
+    for record in records:
+        del record["query"]
+    ungraded = tmp_path / "questions.json"
+    ungraded.write_text(json.dumps(records))
+    out = tmp_path / "arts"
+    out.mkdir()
+    shutil.copy(FIXTURES / "expected_predictions.json", out / "predictions.json")
+    rc = main(["eval", *_cli_args(corpus_dir, replay_cache, out, questions=ungraded)])
+    err = _fault_line(capsys, rc, 1)
+    assert err == "error: question 0 has no gold SQL; cannot evaluate\n"
+
+
+def test_eval_stage_refuses_a_question_whose_db_is_not_in_the_catalog(
+    catalog, questions, replay_config, tmp_path
+):
+    question = questions[-1]
+    others = {db_id: schema for db_id, schema in catalog.items() if db_id != question.db_id}
+    with pytest.raises(SpiderFormatError) as raised:
+        run_eval_stage(others, [question], {}, replay_config, tmp_path)
+    assert str(raised.value) == f"question {question.question_id}: unknown db {question.db_id}"
+
+
 def test_cli_corrupt_link_artifact_is_named_error(corpus_dir, replay_cache, tmp_path, capsys):
     args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts")
     assert main(["run", *args]) == 0
@@ -1445,7 +1459,7 @@ def test_resume_after_a_crash_at_every_journal_write(
 
 
 def test_a_worker_that_dies_fails_its_unanswered_questions(
-    corpus_dir, catalog, questions, replay_config, tmp_path, monkeypatch, capsys
+    corpus_dir, catalog, questions, replay_config, tmp_path, monkeypatch, capsys, four_cpus
 ):
     # Four forked workers take the twelve questions round-robin, so the one
     # that dies at question 5 leaves questions 5 and 9 unanswered.
@@ -1479,7 +1493,7 @@ def test_a_worker_that_dies_fails_its_unanswered_questions(
 
 
 def test_forked_replay_matches_the_in_process_run(
-    catalog, questions, replay_cache, tmp_path, monkeypatch
+    catalog, questions, replay_cache, tmp_path, monkeypatch, four_cpus
 ):
     # One work slot runs the stages in the test process; four work a shard
     # there and fork three children, from the thread that called the stage
@@ -1536,7 +1550,7 @@ def test_forked_replay_matches_the_in_process_run(
 
 
 def test_the_stage_process_works_a_shard_and_forks_one_child_fewer(
-    catalog, questions, replay_config, tmp_path, monkeypatch
+    catalog, questions, replay_config, tmp_path, monkeypatch, four_cpus
 ):
     # Four workers: the test's process answers questions 0, 4 and 8 of each
     # stage itself, and each of three children answers every fourth of the rest.
@@ -1580,10 +1594,11 @@ def test_the_stage_process_works_a_shard_and_forks_one_child_fewer(
 
 
 def test_the_stage_process_works_ahead_while_a_child_is_slow(
-    catalog, questions, replay_config, tmp_path, monkeypatch
+    catalog, questions, replay_config, tmp_path, monkeypatch, four_cpus
 ):
     # Question 1 is a child's and takes 0.3 s; meanwhile the test's process
-    # answers its own questions 4 and 8 instead of waiting for answer 1.
+    # answers its own questions 4 and 8 instead of waiting for answer 1, which
+    # still takes its place in the journal.
     assert replay_config.max_inflight_requests == 4
     answered = _CallLog(tmp_path / "answered.jsonl")
     link_schema = pipeline.link_schema
@@ -1609,6 +1624,34 @@ def test_the_stage_process_works_ahead_while_a_child_is_slow(
     assert got == (FIXTURES / f"expected_{LINK_JOURNAL}").read_bytes()
 
 
+def test_replay_forks_no_more_workers_than_it_has_cpus(
+    catalog, questions, replay_config, tmp_path, monkeypatch
+):
+    # Four work slots on two usable CPUs: each stage forks one child.
+    assert replay_config.max_inflight_requests == 4
+    fork = os.fork
+    forks = []
+
+    def watched_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", watched_fork)
+    _generate(catalog, questions, replay_config, tmp_path)
+    assert len(forks) == 2
+    for name in (LINK_JOURNAL, VOTE_JOURNAL, "predictions.json"):
+        assert (tmp_path / name).read_bytes() == (FIXTURES / f"expected_{name}").read_bytes()
+
+
+def test_usable_cpus_are_the_ones_this_process_may_run_on(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert pipeline.usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pipeline.usable_cpus() == 1
+
+
 def test_replay_without_fork_answers_inline_in_question_order(
     catalog, questions, replay_cache, tmp_path, monkeypatch
 ):
@@ -1622,7 +1665,7 @@ def test_replay_without_fork_answers_inline_in_question_order(
 
 
 def test_a_worker_pipe_that_cannot_be_made_is_not_a_journal_error(
-    catalog, questions, replay_config, tmp_path, monkeypatch
+    catalog, questions, replay_config, tmp_path, monkeypatch, four_cpus
 ):
     # The first worker starts; making the second one's pipe fails.
     context = multiprocessing.get_context("fork")
@@ -1645,7 +1688,7 @@ def test_a_worker_pipe_that_cannot_be_made_is_not_a_journal_error(
 
 
 def test_a_stage_that_raises_stops_its_workers_at_once(
-    catalog, questions, replay_config, tmp_path, monkeypatch
+    catalog, questions, replay_config, tmp_path, monkeypatch, four_cpus
 ):
     # Question 0 comes back at once and cannot be journaled, while the other
     # three workers are still busy with their first question.
@@ -1671,7 +1714,7 @@ def test_a_stage_that_raises_stops_its_workers_at_once(
 
 
 def test_the_thread_that_runs_a_stage_is_the_only_journal_writer(
-    catalog, questions, replay_cache, tmp_path, monkeypatch
+    catalog, questions, replay_cache, tmp_path, monkeypatch, four_cpus
 ):
     writers = _CallLog(tmp_path / "writers.jsonl")
     append = pipeline.Journal.append

@@ -96,7 +96,6 @@ def test_postprocess_empty_residue_is_unparseable():
         candidate = postprocess_completion(raw, 3)
         assert candidate.unparseable
         assert candidate.sample_index == 3
-        assert candidate.raw_completion == raw
 
 
 def test_postprocess_collapses_newlines():
@@ -118,7 +117,7 @@ def test_postprocess_idempotent(raw):
 
 
 def _candidates(*sqls: str) -> list[SqlCandidate]:
-    return [SqlCandidate(text=sql, sample_index=i, raw_completion=sql) for i, sql in enumerate(sqls)]
+    return [SqlCandidate(text=sql, sample_index=i) for i, sql in enumerate(sqls)]
 
 
 def test_cluster_groups_equivalent_queries(concert_db):
@@ -257,7 +256,7 @@ def test_cluster_opens_its_connection_even_when_nothing_runs(
     concert_db, tmp_path, opened_connections
 ):
     candidates = _candidates("DELETE FROM singer", "UPDATE singer SET age = 1")
-    candidates.append(SqlCandidate(text="", sample_index=2, raw_completion="???"))
+    candidates.append(SqlCandidate(text="", sample_index=2))
     clusters, discarded, _ = cluster_by_execution(candidates, concert_db)
     assert clusters == []
     assert [reason for _, reason in discarded] == [
@@ -270,7 +269,7 @@ def test_cluster_opens_its_connection_even_when_nothing_runs(
     # So a missing database is an environment fault whether or not a statement
     # would run.
     missing = tmp_path / "missing.sqlite"
-    runnable = SqlCandidate(text="SELECT 1", sample_index=3, raw_completion="")
+    runnable = SqlCandidate(text="SELECT 1", sample_index=3)
     for block in (candidates, candidates + [runnable]):
         with pytest.raises(DatabaseMissingError):
             cluster_by_execution(block, missing)
@@ -303,7 +302,7 @@ def test_cluster_order_insensitive_rows_group_together(concert_db):
 
 def test_cluster_unparseable_discarded_without_execution(concert_db):
     candidates = _candidates("SELECT count(*) FROM singer")
-    candidates.append(SqlCandidate(text="", sample_index=1, raw_completion="???"))
+    candidates.append(SqlCandidate(text="", sample_index=1))
     clusters, discarded, _ = cluster_by_execution(candidates, concert_db)
     assert discarded == [(1, DISCARD_UNPARSEABLE)]
     assert clusters[0].size == 1
@@ -328,7 +327,7 @@ def test_select_final_tie_breaks_by_lowest_overall_index(concert_db):
     # and handed over out of order, with sample 0 last.
     a, b = "SELECT count(*) FROM singer", "SELECT max(age) FROM singer"
     candidates = [
-        SqlCandidate(text=sql, sample_index=index, raw_completion=sql)
+        SqlCandidate(text=sql, sample_index=index)
         for index, sql in ((2, a), (5, b), (3, a), (0, b))
     ]
     clusters, discarded, _ = cluster_by_execution(candidates, concert_db)
@@ -344,7 +343,7 @@ def test_select_final_everything_discarded_uses_fallback():
 
 
 def _member(index: int) -> SqlCandidate:
-    return SqlCandidate(text=f"SELECT {index}", sample_index=index, raw_completion="")
+    return SqlCandidate(text=f"SELECT {index}", sample_index=index)
 
 
 def _synthetic_clusters(sizes):
@@ -407,9 +406,7 @@ def test_generate_sql_postprocesses_each_distinct_completion_once(
     assert calls == [(raw, 0)]
     [cluster] = result.clusters
     assert [c.sample_index for c in cluster.members] == list(range(20))
-    assert {(c.text, c.raw_completion) for c in cluster.members} == {
-        ("SELECT count(*) FROM singer", raw)
-    }
+    assert {c.text for c in cluster.members} == {"SELECT count(*) FROM singer"}
 
 
 def test_generate_sql_single_sample_votes_alone(concert_db, singer_view, question):
@@ -552,7 +549,7 @@ def test_winning_class_invariant_under_permutation(concert_db):
         perm = list(enumerate(sqls))
         rng.shuffle(perm)
         shuffled = [
-            SqlCandidate(text=sql, sample_index=i, raw_completion=sql)
+            SqlCandidate(text=sql, sample_index=i)
             for i, (_, sql) in enumerate(perm)
         ]
         clusters, discarded, _ = cluster_by_execution(shuffled, concert_db)
