@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .catalog import build_catalog, load_questions, load_spider_tables
-from .config import BACKENDS, PipelineConfig, load_config
+from .config import BACKENDS, LAYOUTS, PipelineConfig, load_config
 from .errors import ConfigurationError, Text2SqlError
 from .evaluation import report_text
 from .pipeline import (
@@ -24,7 +24,6 @@ from .pipeline import (
     run_generate_stage,
     run_link_stage,
 )
-from .prompts import LAYOUTS
 from .voting import generation_request
 
 EXIT_OK = 0

@@ -1,4 +1,6 @@
-"""Pipeline configuration with CLI > environment > file > defaults precedence."""
+"""Pipeline configuration with CLI > environment > file > defaults precedence.
+
+A ``PipelineConfig`` field is its setting's one default; other defaults name it."""
 
 from __future__ import annotations
 
@@ -9,9 +11,10 @@ from pathlib import Path
 from typing import Any, Mapping, get_type_hints
 
 from .errors import ConfigurationError
-from .linking import LinkingConfig
-from .prompts import LAYOUT_CLEAR, LAYOUT_COMPLICATED, LAYOUTS, PromptConfig
 
+LAYOUT_CLEAR = "clear"
+LAYOUT_COMPLICATED = "complicated"
+LAYOUTS = (LAYOUT_CLEAR, LAYOUT_COMPLICATED)
 BACKENDS = ("live", "record", "replay")
 ENV_PREFIX = "TEXT2SQL_"
 API_KEY_ENV = "TEXT2SQL_API_KEY"
@@ -84,6 +87,25 @@ class PipelineConfig:
             temperature=self.temperature,
             max_output_tokens=self.max_recall_tokens,
         )
+
+
+@dataclass(frozen=True)
+class PromptConfig:
+    """The switches that change a generation prompt; the caller picks the schema view."""
+
+    use_calibration: bool = PipelineConfig.use_calibration
+    layout: str = PipelineConfig.layout
+    include_foreign_keys: bool = PipelineConfig.include_foreign_keys
+
+
+@dataclass(frozen=True)
+class LinkingConfig:
+    recall_samples: int = PipelineConfig.recall_samples
+    k_tables: int = PipelineConfig.k_tables
+    k_columns: int = PipelineConfig.k_columns
+    model_name: str = PipelineConfig.model_name
+    temperature: float = PipelineConfig.temperature
+    max_output_tokens: int = PipelineConfig.max_recall_tokens
 
 
 def parse_config_file(path: Path | str) -> dict[str, str]:

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .config import PipelineConfig
 from .executor import (
     SQL_FAILURES,
     ExecutionOutcome,
@@ -46,9 +47,6 @@ OUTCOMES = (OUTCOME_MATCH, OUTCOME_MISMATCH, OUTCOME_PRED_ERROR, OUTCOME_GOLD_ER
 
 @dataclass(frozen=True)
 class EvalRecord:
-    question_id: str
-    predicted_sql: str
-    gold_sql: str
     outcome: str
     difficulty: str | None = None
 
@@ -64,7 +62,10 @@ class EvalReport:
 
 
 def score_pair(
-    predicted_sql: str, gold_sql: str, db_path: Path | str, timeout: float = 5.0
+    predicted_sql: str,
+    gold_sql: str,
+    db_path: Path | str,
+    timeout: float = PipelineConfig.exec_timeout,
 ) -> str:
     """Outcome of one prediction: both queries run on one read-only
     connection, order sensitivity taken from the gold query. A failing gold
@@ -91,14 +92,14 @@ def score_outcome(gold: ExecutionOutcome, predicted: ResultTable | None) -> str:
 
 def execution_accuracy(
     records: Iterable[tuple[str, str, str, Path | str, str | None]],
-    timeout: float = 5.0,
+    timeout: float = PipelineConfig.exec_timeout,
 ) -> list[EvalRecord]:
-    """Score (question_id, predicted, gold, db_path, difficulty) records."""
-    results = []
-    for question_id, predicted, gold, db_path, difficulty in records:
-        outcome = score_pair(predicted, gold, db_path, timeout=timeout)
-        results.append(EvalRecord(question_id, predicted, gold, outcome, difficulty))
-    return results
+    """Score (question_id, predicted, gold, db_path, difficulty) records; the
+    question id names a record to the caller and does not change its score."""
+    return [
+        EvalRecord(score_pair(predicted, gold, db_path, timeout=timeout), difficulty)
+        for _, predicted, gold, db_path, difficulty in records
+    ]
 
 
 def build_report(

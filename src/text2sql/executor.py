@@ -34,6 +34,7 @@ from functools import cached_property
 from pathlib import Path
 from urllib.parse import quote
 
+from .config import PipelineConfig
 from .errors import DatabaseMissingError
 
 NUMERIC_TOLERANCE = 1e-6
@@ -159,7 +160,7 @@ def readonly(db_path: Path | str) -> closing[sqlite3.Connection]:
 def execute_sql(
     db_path: Path | str,
     sql: str,
-    timeout: float = 5.0,
+    timeout: float = PipelineConfig.exec_timeout,
     *,
     connection: sqlite3.Connection | None = None,
 ) -> ExecutionOutcome:

@@ -26,6 +26,7 @@ from json import dumps as json_dumps  # _UrllibSession.post has a parameter name
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .config import PipelineConfig
 from .errors import (
     AuthenticationError,
     CacheCorruptError,
@@ -63,9 +64,9 @@ class ChatExchange:
 
     messages: tuple[ChatMessage, ...]
     n: int = 1
-    temperature: float = 1.0
-    model_name: str = "gpt-3.5-turbo-0301"
-    max_output_tokens: int = 512
+    temperature: float = PipelineConfig.temperature
+    model_name: str = PipelineConfig.model_name
+    max_output_tokens: int = PipelineConfig.max_generation_tokens
 
     def __post_init__(self) -> None:
         if not self.messages or self.messages[-1].role != "user":
@@ -271,9 +272,9 @@ class LiveGateway:
         base_url: str,
         api_key: str,
         *,
-        max_attempts: int = 5,
+        max_attempts: int = PipelineConfig.retry_attempts,
         backoff_seconds: float = 1.0,
-        max_inflight: int = 4,
+        max_inflight: int = PipelineConfig.max_inflight_requests,
         session=None,  # anything with the call shape of requests.Session.post
     ):
         if not api_key:

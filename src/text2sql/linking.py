@@ -20,6 +20,7 @@ from json import JSONDecoder
 from typing import Hashable, Mapping, Sequence
 
 from .catalog import DatabaseSchema, FkRelation, Question, format_fk_line, format_table_line
+from .config import LinkingConfig
 from .gateway import ChatExchange, ChatMessage
 
 log = logging.getLogger(__name__)
@@ -52,16 +53,6 @@ class RecallScores:
 
     table_scores: dict[str, float]
     column_scores: dict[tuple[str, str], float]
-
-
-@dataclass(frozen=True)
-class LinkingConfig:
-    recall_samples: int = 10
-    k_tables: int = 4
-    k_columns: int = 5
-    model_name: str = "gpt-3.5-turbo-0301"
-    temperature: float = 1.0
-    max_output_tokens: int = 1024
 
 
 def _recall_exchange(
@@ -329,11 +320,9 @@ def _frequency_scores(
     items: Sequence[Hashable], counted: Sequence[tuple[Sequence[Hashable], int]], total: int
 ) -> dict[Hashable, float]:
     """The share of the `total` samples that hold each item, from (sample,
-    count) pairs. Integer counts keep every share the float that counting each
-    copy once would give."""
+    count) pairs; `total` is a completion's text count, at least 1. Integer
+    counts keep every share the float that counting each copy once would give."""
     scores = {item: 0.0 for item in items}
-    if not total:
-        return scores
     for sample, count in counted:
         for entry in sample:
             if entry in scores:

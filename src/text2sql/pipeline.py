@@ -50,6 +50,7 @@ from .catalog import DatabaseSchema, FkRelation, Question, read_json_file
 from .config import PipelineConfig, api_key_from_env
 from .errors import ConfigurationError, SpiderFormatError, Text2SqlError
 from .evaluation import (
+    OUTCOME_MISMATCH,
     OUTCOMES,
     EvalRecord,
     EvalReport,
@@ -582,8 +583,8 @@ def run_eval_stage(
     except Text2SqlError as exc:
         log.warning("%s; executing every prediction", exc)
         votes = Journal(out_dir / VOTE_JOURNAL, fresh=True)
-    records = []
-    settled: list[EvalRecord] = []
+    eval_records: list[EvalRecord] = []
+    unsettled = []  # execution_accuracy's records: the predictions to execute
     for question in questions:
         if question.gold_sql is None:
             raise SpiderFormatError(
@@ -595,31 +596,22 @@ def run_eval_stage(
         predicted = predictions.get(question.question_id)
         if predicted is None:
             log.warning("no prediction for question %s; scoring as mismatch", question.question_id)
-            predicted, outcome = "", "mismatch"
+            outcome = OUTCOME_MISMATCH
         else:
             outcome = recorded_outcome(votes, question, predicted)
         if outcome is not None:
-            settled.append(
-                EvalRecord(
-                    question.question_id, predicted, question.gold_sql, outcome, question.difficulty
-                )
+            eval_records.append(EvalRecord(outcome, question.difficulty))
+        else:
+            db_path = schema.sqlite_path
+            unsettled.append(
+                (question.question_id, predicted, question.gold_sql, db_path, question.difficulty)
             )
-            continue
-        records.append(
-            (
-                question.question_id,
-                predicted,
-                question.gold_sql,
-                schema.sqlite_path,
-                question.difficulty,
-            )
-        )
 
     def score(record):
         return execution_accuracy([record], timeout=config.exec_timeout)[0]
 
-    scored = _pool_as_completed(config.max_inflight_requests, score, records)
-    eval_records = [record for _, record in scored] + settled
+    scored = _pool_as_completed(config.max_inflight_requests, score, unsettled)
+    eval_records.extend(record for _, record in scored)
 
     per_question = []
     with ExitStack() as stack:

@@ -4,7 +4,6 @@ instruction/context/question block, or the run-on layout as an ablation."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 from .catalog import (
     DatabaseSchema,
@@ -13,13 +12,10 @@ from .catalog import (
     format_table_line,
     serialize_complicated_layout,
 )
+from .config import LAYOUT_COMPLICATED, PipelineConfig, PromptConfig
 from .gateway import ChatExchange, ChatMessage
 
 log = logging.getLogger(__name__)
-
-LAYOUT_CLEAR = "clear"
-LAYOUT_COMPLICATED = "complicated"
-LAYOUTS = (LAYOUT_CLEAR, LAYOUT_COMPLICATED)
 
 GENERATION_INSTRUCTION = (
     "### Complete sqlite SQL query only and with no explanation, and do not select "
@@ -63,19 +59,6 @@ CHARS_PER_TOKEN = 4
 TOKEN_BUDGET = 1800
 
 
-@dataclass(frozen=True)
-class PromptConfig:
-    """The switches that change a generation prompt; the caller picks the schema view."""
-
-    use_calibration: bool = True
-    layout: str = LAYOUT_CLEAR
-    include_foreign_keys: bool = True
-
-    def __post_init__(self) -> None:
-        if self.layout not in LAYOUTS:
-            raise ValueError(f"unknown layout {self.layout!r}")
-
-
 def calibration_history() -> list[ChatMessage]:
     """The fixed five-message debiasing conversation prepended to generation prompts."""
     return [
@@ -87,7 +70,7 @@ def calibration_history() -> list[ChatMessage]:
     ]
 
 
-def clear_generation_context(view: DatabaseSchema, include_foreign_keys: bool = True) -> str:
+def clear_generation_context(view: DatabaseSchema, include_foreign_keys: bool) -> str:
     """The "#"-bordered schema block used inside the generation prompt.
 
     Table lines carry no terminator here; foreign keys appear as bare
@@ -122,10 +105,10 @@ def build_generation_prompt(
     question: Question,
     config: PromptConfig,
     *,
-    n: int = 20,
-    temperature: float = 1.0,
-    model_name: str = "gpt-3.5-turbo-0301",
-    max_output_tokens: int = 512,
+    n: int = PipelineConfig.n_samples,
+    temperature: float = PipelineConfig.temperature,
+    model_name: str = PipelineConfig.model_name,
+    max_output_tokens: int = PipelineConfig.max_generation_tokens,
 ) -> ChatExchange:
     """Assemble the full SQL-generation exchange for one question."""
     messages: list[ChatMessage] = []

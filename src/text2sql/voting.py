@@ -131,7 +131,7 @@ def postprocess_completion(raw: str, sample_index: int) -> SqlCandidate:
 def cluster_by_execution(
     candidates: list[SqlCandidate],
     db_path: Path | str,
-    timeout: float = 5.0,
+    timeout: float = PipelineConfig.exec_timeout,
     *,
     reference_sql: str | None = None,
 ) -> tuple[list[ExecutionCluster], list[tuple[int, str]], ExecutionOutcome | None]:

@@ -20,14 +20,14 @@ from text2sql.catalog import (
     serialize_complicated_layout,
 )
 from text2sql.cli import main
-from text2sql.config import PipelineConfig
+from text2sql.config import PipelineConfig, PromptConfig
 from text2sql.evaluation import build_report, execution_accuracy, pairwise_auc
 from text2sql.executor import ResultTable, execute_sql, results_equivalent
 from text2sql.gateway import CacheStore, RecordingGateway
 from text2sql.linking import build_column_recall_prompt, build_table_recall_prompt
 from text2sql.minicorpus import ScriptedModel
 from text2sql.pipeline import run_generate_stage, run_link_stage
-from text2sql.prompts import PromptConfig, calibration_history, generation_user_message
+from text2sql.prompts import calibration_history, generation_user_message
 from text2sql.voting import VoteResult, cluster_by_execution, postprocess_completion
 
 from conftest import PROMPT_FIXTURES, prompt_fixture

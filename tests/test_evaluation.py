@@ -301,7 +301,7 @@ def test_render_empty_report_shows_na():
 
 
 def test_render_deterministic():
-    records = [EvalRecord("0", "a", "b", "match", "easy")]
+    records = [EvalRecord("match", "easy")]
     report = build_report(records, table_auc=0.9, column_auc=0.8)
     assert report_json(report) == report_json(report)
     assert report_text(report) == report_text(report)
@@ -309,13 +309,13 @@ def test_render_deterministic():
 
 def test_report_json_and_text_of_a_mixed_report():
     records = [
-        EvalRecord("0", "", "", "match", "easy"),
-        EvalRecord("1", "", "", "match", "easy"),
-        EvalRecord("2", "", "", "mismatch", "easy"),
-        EvalRecord("3", "", "", "pred_error", "hard"),
-        EvalRecord("4", "", "", "gold_error", "hard"),
-        EvalRecord("5", "", "", "match", "hard"),
-        EvalRecord("6", "", "", "match", None),
+        EvalRecord("match", "easy"),
+        EvalRecord("match", "easy"),
+        EvalRecord("mismatch", "easy"),
+        EvalRecord("pred_error", "hard"),
+        EvalRecord("gold_error", "hard"),
+        EvalRecord("match", "hard"),
+        EvalRecord("match", None),
     ]
     report = build_report(records, table_auc=None, column_auc=55 / 86)
     assert report_json(report) == (
@@ -354,9 +354,9 @@ def test_report_json_and_text_of_a_mixed_report():
 
 def test_report_difficulty_breakdown():
     records = [
-        EvalRecord("0", "", "", "match", "easy"),
-        EvalRecord("1", "", "", "mismatch", "easy"),
-        EvalRecord("2", "", "", "match", "hard"),
+        EvalRecord("match", "easy"),
+        EvalRecord("mismatch", "easy"),
+        EvalRecord("match", "hard"),
     ]
     report = build_report(records)
     assert report.per_difficulty_ex == {"easy": 0.5, "hard": 1.0}

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from text2sql import linking
 from text2sql.catalog import DatabaseSchema, Question
+from text2sql.config import LinkingConfig
 from text2sql.gateway import ChatCompletion
 from text2sql.linking import (
     MAX_OBJECT_DECODES,
-    LinkingConfig,
     build_column_recall_prompt,
     build_table_recall_prompt,
     link_schema,

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from text2sql import evaluation, executor, pipeline, voting
 from text2sql.catalog import DatabaseSchema, FkRelation, Question
 from text2sql.cli import main
-from text2sql.config import BACKENDS, PipelineConfig, load_config
+from text2sql.config import BACKENDS, LAYOUT_CLEAR, LAYOUT_COMPLICATED, PipelineConfig, load_config
 from text2sql.errors import ConfigurationError, SpiderFormatError, Text2SqlError
 from text2sql.evaluation import score_pair
 from text2sql.gateway import (
@@ -48,7 +48,6 @@ from text2sql.pipeline import (
     run_generate_stage,
     run_link_stage,
 )
-from text2sql.prompts import LAYOUT_CLEAR, LAYOUT_COMPLICATED
 
 from conftest import FIXTURES
 from test_gateway import _FakeResponse
@@ -121,14 +120,6 @@ def _journal(path):
     """The payload of each complete line of a stage journal, in order."""
     text = path.read_text(encoding="utf-8") if path.exists() else ""
     return [json.loads(line) for line in text[: text.rfind("\n") + 1].splitlines()]
-
-
-def test_defaults_match_published_constants():
-    config = PipelineConfig()
-    assert config.n_samples == 20
-    assert config.recall_samples == 10
-    assert config.k_tables == 4
-    assert config.k_columns == 5
 
 
 def test_config_precedence(tmp_path, monkeypatch):
@@ -818,6 +809,31 @@ def test_replay_backend_never_needs_network(replay_cache):
     assert isinstance(gateway, ReplayGateway)
 
 
+@pytest.mark.parametrize("backend", ["live", "record"])
+def test_make_gateway_hands_the_settings_to_the_live_gateway(tmp_path, monkeypatch, backend):
+    # Building a LiveGateway posts nothing, so this makes no network call.
+    monkeypatch.setenv("TEXT2SQL_API_KEY", "key")
+    config = PipelineConfig(
+        backend=backend,
+        cache_dir=tmp_path / "cache",
+        api_base="https://llm.example/v1",
+        retry_attempts=2,
+        max_inflight_requests=3,
+    )
+    gateway = make_gateway(config)
+    if backend == "record":
+        assert type(gateway) is RecordingGateway
+        assert gateway.cache.directory == tmp_path / "cache"
+        gateway = gateway.transport
+    assert type(gateway) is LiveGateway
+    assert (gateway.base_url, gateway.api_key, gateway.max_attempts) == (
+        "https://llm.example/v1", "key", 2
+    )
+    # Three requests may be out at once, and a fourth waits.
+    assert all(gateway._inflight.acquire(blocking=False) for _ in range(3))
+    assert not gateway._inflight.acquire(blocking=False)
+
+
 def _generation_fingerprint(store, question):
     """The fingerprint of the cached generation request for ``question``."""
     return next(
@@ -955,6 +971,7 @@ def test_cli_missing_dataset_file_is_named_error(
         (["--temperature", "inf"], {}, "temperature must be >= 0 and finite"),
         ([], {"TEXT2SQL_EXEC_TIMEOUT": "nan"}, "exec_timeout must be positive and finite"),
         ([], {"TEXT2SQL_EXEC_TIMEOUT": "inf"}, "exec_timeout must be positive and finite"),
+        ([], {"TEXT2SQL_LAYOUT": "bogus"}, "unknown layout 'bogus'"),
     ],
 )
 def test_cli_out_of_range_setting_is_config_error(
@@ -1352,6 +1369,35 @@ def test_cli_unwritable_output_is_named_error(corpus_dir, replay_cache, tmp_path
         out.write_text("")
     err = _fault_line(capsys, main(["run", *_cli_args(corpus_dir, replay_cache, out)]), 1)
     assert str(out / (blocked or LINK_JOURNAL)) in err
+
+
+def test_a_journal_that_cannot_be_written_is_one_error_line(
+    corpus_dir, catalog, questions, replay_cache, replay_config, tmp_path, monkeypatch, capsys
+):
+    def failing_append(journal, payload):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(pipeline.Journal, "append", failing_append)
+    with pytest.raises(Text2SqlError) as raised:
+        run_link_stage(catalog, questions, make_gateway(replay_config), replay_config, tmp_path)
+    assert str(raised.value).startswith(f"cannot write {tmp_path / LINK_JOURNAL}: ")
+    out = tmp_path / "arts"
+    err = _fault_line(capsys, main(["run", *_cli_args(corpus_dir, replay_cache, out)]), 1)
+    assert err.startswith(f"error: cannot write {out / LINK_JOURNAL}: ")
+
+
+def test_questions_of_a_db_missing_from_the_catalog_fail_by_name(
+    catalog, questions, replay_config, tmp_path
+):
+    missing = questions[0].db_id
+    kept = {db_id: schema for db_id, schema in catalog.items() if db_id != missing}
+    summary = run_link_stage(kept, questions, make_gateway(replay_config), replay_config, tmp_path)
+    lost = [q.question_id for q in questions if q.db_id == missing]
+    linked = [q.question_id for q in questions if q.db_id != missing]
+    assert lost and linked
+    assert summary.failures == [(qid, f"unknown db_id {missing}") for qid in lost]
+    assert summary.processed == len(linked)
+    assert [line["question_id"] for line in _journal(tmp_path / LINK_JOURNAL)] == linked
 
 
 def test_journal_appends_from_many_threads_lose_no_line(tmp_path):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from text2sql.catalog import DatabaseSchema, FkRelation, Question
 from text2sql import prompts
+from text2sql.config import PromptConfig
 from text2sql.prompts import (
-    PromptConfig,
     build_generation_prompt,
     calibration_history,
 )
