@@ -185,16 +185,26 @@ def _schema_from_descriptor(descriptor: dict, path: Path) -> DatabaseSchema:
         raise SpiderFormatError(f"{path}: {db_id}: {exc}") from exc
 
 
+def question_id_text(value, where: str) -> str:
+    """A JSON ``question_id`` as stages key it: a string as it is, a
+    (non-boolean) integer in decimal. Any other value is a SpiderFormatError
+    that begins with ``where``."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    raise SpiderFormatError(f"{where}: question_id is not a string or an integer: {value!r}")
+
+
 def load_questions(path: Path | str) -> list[Question]:
     """Parse a Spider dev/test question file.
 
-    ``question_id`` defaults to the zero-based record position; ``gold_sql``
-    comes from the record's ``query`` field when present. ``question`` and
-    ``db_id`` must be non-empty strings, ``query`` and ``difficulty`` strings
-    or absent; any other record is a SpiderFormatError naming the file and
-    the record's index. So is a record whose ``question_id``, explicit or
-    defaulted, another record already has: every stage keys its journal lines
-    and predictions by that id.
+    ``question_id`` is a string or an integer (see ``question_id_text``) and
+    defaults to the zero-based record position; ``gold_sql`` comes from the
+    record's ``query`` field when present. ``question`` and ``db_id`` must be
+    non-empty strings, ``query`` and ``difficulty`` strings or absent; any
+    other record is a SpiderFormatError naming the file and the record's
+    index. So is a record whose ``question_id``, explicit or defaulted,
+    another record already has: every stage keys its journal lines and
+    predictions by that id.
     """
     path = Path(path)
     raw = read_json_file(path)
@@ -214,7 +224,7 @@ def load_questions(path: Path | str) -> list[Question]:
         db_id = record.get("db_id")
         if not text or not db_id:
             raise SpiderFormatError(f"{path}: record {idx} is missing question or db_id")
-        question_id = str(record.get("question_id", idx))
+        question_id = question_id_text(record.get("question_id", idx), f"{path}: record {idx}")
         if question_id in index_of:
             raise SpiderFormatError(
                 f"{path}: records {index_of[question_id]} and {idx}"

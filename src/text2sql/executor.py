@@ -8,10 +8,9 @@ execution-accuracy scoring. Multiset comparison sorts each table once into
 the canonical order ``ResultTable.sorted_rows`` defines: NULL, then numbers
 by value, then text by code point, then blobs by byte, cell by cell. Rows
 sort by native tuple comparison, and by a typed sort key only when that
-comparison meets a column that mixes value classes. The two orders agree except on integers beyond 2**53
-in magnitude, which the key compares as floats; like near-tolerance floats,
-such integers can sort apart from their tolerance-equal partners, which
-changes a verdict only for tables above TOLERANT_MATCH_MAX_ROWS rows.
+comparison meets a column that mixes value classes; the two orders agree.
+Near-tolerance floats can sort apart from their tolerance-equal partners,
+which changes a verdict only for tables above TOLERANT_MATCH_MAX_ROWS rows.
 
 A connection lives as long as one unit of work: one question's vote, or one
 scored gold/predicted pair, runs in one ``readonly`` block, which opens it on
@@ -83,10 +82,8 @@ class ResultTable:
         that are ``==``, so it runs first. When it meets two cells of
         different classes in one column (a NULL and a number, text and a
         number) it raises TypeError, and the table is sorted again by the
-        key. Either way the result is
-        element-wise ``==`` to the keyed sort of any permutation of the rows.
-        The exception is integers beyond 2**53 in magnitude, which the key
-        rounds through float: native order separates values the key ties.
+        key. Either way the result is element-wise ``==`` to the keyed sort
+        of any permutation of the rows.
         """
         try:
             return tuple(sorted(self.rows))
@@ -217,14 +214,16 @@ def _run_statement(
 
 
 def cells_equal(a, b) -> bool:
-    """Cell equivalence: numbers equal or within 1e-6 absolute tolerance (int 3 ==
-    real 3.0, inf == inf, inf != -inf), everything else by exact equality with
-    matching type class."""
+    """Cell equivalence: two integers exactly, other numbers equal or within
+    1e-6 absolute tolerance (int 3 == real 3.0, inf == inf, inf != -inf),
+    everything else by exact equality with matching type class."""
     if a is None or b is None:
         return a is None and b is None
     a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
     b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
     if a_num and b_num:
+        if isinstance(a, int) and isinstance(b, int):
+            return a == b  # float() would tie distinct integers beyond 2**53
         return a == b or abs(float(a) - float(b)) <= NUMERIC_TOLERANCE
     if type(a) is not type(b):
         return False
@@ -239,7 +238,7 @@ def _cell_sort_key(cell) -> tuple:
     if cell is None:
         return (0, 0)
     if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-        return (1, float(cell))
+        return (1, cell)  # int and float compare exactly
     if isinstance(cell, str):
         return (2, cell)
     return (3, bytes(cell).hex())

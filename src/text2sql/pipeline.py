@@ -2,25 +2,25 @@
 
 The link and generate stages journal one JSON line per question in
 ``link.jsonl`` and ``votes.jsonl`` (see ``Journal``) and skip the questions
-already journaled, so interrupted live runs resume cheaply. The live and
-record backends work on threads: a question holds one of
-max_inflight_requests work slots while it works, and hands it back while its
-model call is out, so another question can vote while it waits. Twice that
-many threads run, one set waiting on POSTs (which ``LiveGateway`` bounds by
-the same number) and one voting. A replayed call waits on nothing, so replay's
-work is Python that threads cannot overlap. Each stage runs worker processes
-instead, no more than max_inflight_requests or the CPUs it may use: its own,
-and one forked child per other worker (none with one worker or no
-``os.fork``). It reads their answers in question order, and works ahead on
-its own shard while the next answer is a child's and not there yet. Threads
-and workers alike only hand back each question's answer; the thread that runs
-the stage appends them to the journal, so it is the only journal writer. A
-forked child that dies fails only the questions it had not answered; a hard
-crash of the stage's process (an OOM kill, a segfault) ends the run, as it
-does at one worker and on threads. A stage that finishes seals its journal
-in dataset order, so a finished journal is the same bytes under every
-backend, at any worker count and after any resume; while a live or record
-stage runs, its lines are in the order the questions finished.
+already journaled, so interrupted live runs resume cheaply.
+
+max_inflight_requests bounds the POSTs in flight (``LiveGateway`` holds that
+bound), replay's worker processes and eval's re-scoring threads. The live and
+record backends run twice that many threads, so questions vote while others
+wait on their POSTs; at most twice that many run SQLite at once. A replayed
+call waits on nothing, so replay's work is Python that threads cannot overlap.
+Each stage runs worker processes instead, no more than max_inflight_requests
+or the CPUs it may use: its own, and one forked child per other worker (none
+with one worker or no ``os.fork``). It reads their answers in question order,
+and works ahead on its own shard while the next answer is a child's and not
+there yet. Threads and workers alike only hand back each question's answer;
+the thread that runs the stage appends them to the journal, so it is the only
+journal writer. A forked child that dies fails only the questions it had not
+answered; a hard crash of the stage's process (an OOM kill, a segfault) ends
+the run, as it does at one worker and on threads. A stage that finishes seals
+its journal in dataset order, so a finished journal is the same bytes under
+every backend, at any worker count and after any resume; while a live or
+record stage runs, its lines are in the order the questions finished.
 
 EX is scored where the result tables already are: the vote hands back the
 gold query's outcome with its clusters (the gold text is usually one of the
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TypeVar
 
-from .catalog import DatabaseSchema, FkRelation, Question, read_json_file
+from .catalog import DatabaseSchema, FkRelation, Question, question_id_text, read_json_file
 from .config import PipelineConfig, api_key_from_env
 from .errors import ConfigurationError, SpiderFormatError, Text2SqlError
 from .evaluation import (
@@ -263,41 +263,6 @@ def _pool_as_completed(workers: int, fn, items):
         pool.shutdown(cancel_futures=True)
 
 
-class _SlotReleasingGateway:
-    """The stage's gateway as a question sees it: the question's work slot is
-    given back while a completion is out and taken again before it goes on."""
-
-    def __init__(self, gateway, slots: threading.BoundedSemaphore):
-        self._gateway = gateway
-        self._slots = slots
-
-    def complete(self, exchange):
-        self._slots.release()
-        try:
-            return self._gateway.complete(exchange)
-        finally:
-            self._slots.acquire()
-
-
-def _threaded_answers(config: PipelineConfig, todo: list[Question], answer, gateway):
-    """Yield ``(index into todo, answer(question, gateway))`` for every
-    question in ``todo``, worked on threads, in the order they finish.
-
-    A question works while it holds one of ``max_inflight_requests`` slots, so
-    at most that many run SQLite at once; the gateway ``answer`` receives frees
-    the slot for the length of each completion, and another question can take
-    it then, so there are twice as many threads as slots.
-    """
-    slots = threading.BoundedSemaphore(config.max_inflight_requests)
-    slot_gateway = _SlotReleasingGateway(gateway, slots)
-
-    def process(question: Question) -> dict | str:
-        with slots:
-            return answer(question, slot_gateway)
-
-    return _pool_as_completed(2 * config.max_inflight_requests, process, todo)
-
-
 def usable_cpus() -> int:
     """The CPUs this process may run on, which bound replay's workers."""
     if hasattr(os, "sched_getaffinity"):
@@ -305,10 +270,10 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _forked_answers(workers: int, todo: list[Question], answer, gateway):
-    """Yield ``(index into todo, answer(question, gateway))`` for every
-    question in ``todo``, in question order, worked on ``workers`` processes:
-    the one running the stage and ``workers - 1`` forked children.
+def _forked_answers(workers: int, todo: list[Question], answer):
+    """Yield ``(index into todo, answer(question))`` for every question in
+    ``todo``, in question order, worked on ``workers`` processes: the one
+    running the stage and ``workers - 1`` forked children.
 
     The stage's process takes questions ``0``, ``workers``, ``2 * workers``,
     ...; child ``k`` takes ``k``, ``k + workers``, ... and sends each answer
@@ -327,7 +292,7 @@ def _forked_answers(workers: int, todo: list[Question], answer, gateway):
 
     def work_ahead() -> None:
         nonlocal ahead
-        held[ahead] = answer(todo[ahead], gateway)
+        held[ahead] = answer(todo[ahead])
         ahead += workers
 
     try:
@@ -339,7 +304,7 @@ def _forked_answers(workers: int, todo: list[Question], answer, gateway):
 
             def serve(sender, shard: range) -> None:
                 for index in shard:
-                    sender.send(answer(todo[index], gateway))
+                    sender.send(answer(todo[index]))
 
             for first in range(1, workers):
                 shard = range(first, len(todo), workers)
@@ -379,41 +344,43 @@ def _run_stage(
     name: str,
     catalog: dict[str, DatabaseSchema],
     questions: list[Question],
-    gateway,
     config: PipelineConfig,
     journal_path: Path,
     work,
     force: bool,
 ) -> tuple[StageSummary, Journal]:
-    """Append ``work(question, schema, gateway)`` to the journal at
-    ``journal_path`` for every question it has no line for, which is every
-    question when forced; the summary, and the journal with every payload.
-    An exception from one question's work becomes a named failure in the
-    summary instead of aborting the batch; failures are in question order.
+    """Append ``work(question, schema)`` to the journal at ``journal_path``
+    for every question it has no line for, which is every question when
+    forced; the summary, and the journal with every payload. An exception
+    from one question's work becomes a named failure in the summary instead
+    of aborting the batch; failures are in question order.
 
-    Live and record work on threads (``_threaded_answers``) and journal
-    answers as they finish. Replay journals them in question order
+    ``max_inflight_requests`` bounds the POSTs in flight (``LiveGateway``
+    holds that bound), replay's workers and eval's re-scoring threads. Live
+    and record answer on twice that many threads (``_pool_as_completed``) and
+    journal answers as they finish: while up to half of them wait on a POST,
+    the rest vote. Replay journals them in question order
     (``_forked_answers``) from as many workers as the smallest of
     ``max_inflight_requests``, the usable CPUs (``usable_cpus``) and the
     questions, and from one where the platform cannot fork. The stage's
     process is one of the workers and forks a child for each other one,
-    starting no thread first. The answers arrive on the thread that called
-    the stage, which appends each payload: this is the only place that writes
-    a journal line. Leaving the loop, by an exception too, closes the
-    answers, which stops the children at once. Once every answer is in, the
-    journal is sealed in question order (``Journal.seal``); a stage cut short
-    leaves it unsealed, and resuming it reads it the same.
+    starting no thread first. The answers arrive on the thread that called the
+    stage, which appends each payload: this is the only place that writes a
+    journal line. Leaving the loop, by an exception too, closes the answers,
+    which stops the children at once. Once every answer is in, the journal is
+    sealed in question order (``Journal.seal``); a stage cut short leaves it
+    unsealed, and resuming it reads it the same.
     """
     journal = Journal(journal_path, fresh=force)
     todo = [question for question in questions if question.question_id not in journal.entries]
 
-    def answer(question: Question, gateway) -> dict | str:
+    def answer(question: Question) -> dict | str:
         """The question's payload, or the message naming its failure."""
         schema = catalog.get(question.db_id)
         if schema is None:
             return f"unknown db_id {question.db_id}"
         try:
-            return work(question, schema, gateway)
+            return work(question, schema)
         except Text2SqlError as exc:
             return str(exc)
         except Exception as exc:
@@ -423,11 +390,11 @@ def _run_stage(
             return f"{type(exc).__name__}: {exc}"
 
     if config.backend != "replay":
-        answers = _threaded_answers(config, todo, answer, gateway)
+        answers = _pool_as_completed(2 * config.max_inflight_requests, answer, todo)
     else:
         cpus = usable_cpus() if hasattr(os, "fork") else 1
         workers = min(config.max_inflight_requests, cpus, len(todo))
-        answers = _forked_answers(max(workers, 1), todo, answer, gateway)
+        answers = _forked_answers(max(workers, 1), todo, answer)
     failed: dict[int, str] = {}
     try:
         with journal.appending(), closing(answers):
@@ -454,13 +421,11 @@ def run_link_stage(
 ) -> StageSummary:
     """Journal each question's linked schema and recall scores in link.jsonl."""
 
-    def work(question: Question, schema: DatabaseSchema, gateway) -> dict:
+    def work(question: Question, schema: DatabaseSchema) -> dict:
         linked, scores = link_schema(schema, question, gateway, config.linking_config())
         return _link_artifact(question, linked, scores)
 
-    return _run_stage(
-        "link", catalog, questions, gateway, config, out_dir / LINK_JOURNAL, work, force
-    )[0]
+    return _run_stage("link", catalog, questions, config, out_dir / LINK_JOURNAL, work, force)[0]
 
 
 def generation_view(
@@ -502,7 +467,7 @@ def run_generate_stage(
     sql is not a string is that question's failure and has no prediction."""
     links = Journal(out_dir / LINK_JOURNAL) if config.effective_use_linking else None
 
-    def work(question: Question, schema: DatabaseSchema, gateway) -> dict:
+    def work(question: Question, schema: DatabaseSchema) -> dict:
         view = generation_view(links, question, schema)
         vote = generate_sql(question, view, gateway, schema.sqlite_path, config)
         trace = _vote_trace(question, vote)
@@ -512,7 +477,7 @@ def run_generate_stage(
         return trace
 
     summary, votes = _run_stage(
-        "generate", catalog, questions, gateway, config, out_dir / VOTE_JOURNAL, work, force
+        "generate", catalog, questions, config, out_dir / VOTE_JOURNAL, work, force
     )
 
     predictions = []
@@ -542,8 +507,9 @@ def recorded_outcome(votes: Journal, question: Question, predicted_sql: str) -> 
 
 def load_predictions(path: Path) -> dict[str, str]:
     """question_id -> SQL from a JSON array of ``{"question_id", "sql"}``
-    objects; any other shape, or two entries with the same question_id (``1``
-    and ``"1"`` included), is a SpiderFormatError naming the file and entries."""
+    objects, each question_id a string or an integer; any other shape, or two
+    entries with the same question_id (``1`` and ``"1"`` included), is a
+    SpiderFormatError naming the file and entries."""
     payload = read_json_file(Path(path))
     if not isinstance(payload, list):
         raise SpiderFormatError(f"{path}: expected a JSON array of predictions")
@@ -553,7 +519,7 @@ def load_predictions(path: Path) -> dict[str, str]:
         sql = item.get("sql") if isinstance(item, dict) else None
         if not isinstance(sql, str) or "question_id" not in item:
             raise SpiderFormatError(f"{path}: entry {idx} needs a question_id and a string sql")
-        question_id = str(item["question_id"])
+        question_id = question_id_text(item["question_id"], f"{path}: entry {idx}")
         if question_id in index_of:
             raise SpiderFormatError(
                 f"{path}: entries {index_of[question_id]} and {idx} share question_id {question_id!r}"

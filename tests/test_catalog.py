@@ -181,6 +181,19 @@ def test_load_questions_refuses_a_repeated_question_id(tmp_path, records, named)
     assert str(excinfo.value) == f"{path}: {named}"
 
 
+@pytest.mark.parametrize(
+    "question_id", [None, [0], True, {"x": 1}, 1.5], ids=["null", "array", "bool", "object", "float"]
+)
+def test_load_questions_refuses_a_question_id_of_another_type(tmp_path, question_id):
+    path = tmp_path / "dev.json"
+    records = [{"question_id": 7}, {"question_id": question_id}]
+    path.write_text(json.dumps([{"question": "q", "db_id": "d", **r} for r in records]))
+    with pytest.raises(SpiderFormatError) as excinfo:
+        load_questions(path)
+    named = f"record 1: question_id is not a string or an integer: {question_id!r}"
+    assert str(excinfo.value) == f"{path}: {named}"
+
+
 # The demo catalog as SQLite describes it. build_corpus reads the foreign keys
 # back with PRAGMA foreign_key_list, which lists a table's keys last-declared
 # first; this pins that order on every SQLite the tests run against.

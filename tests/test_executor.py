@@ -4,6 +4,7 @@ import hashlib
 import random
 import sqlite3
 import threading
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,40 @@ def test_integer_matches_real_within_tolerance():
     assert cells_equal(3, 3.0)
     assert results_equivalent(ResultTable(1, ((3,),)), ResultTable(1, ((3.0,),)))
     assert not results_equivalent(ResultTable(1, ((3,),)), ResultTable(1, ((3.1,),)))
+
+
+def test_distinct_large_integers_differ():
+    # Beyond 2**53 distinct integers convert to one float; SQLite tells them apart.
+    big = 2**60
+    with closing(sqlite3.connect(":memory:")) as connection:
+        assert connection.execute("SELECT ? = ?", (big, big + 1)).fetchone() == (0,)
+    assert float(big) == float(big + 1)
+    assert not cells_equal(big, big + 1)
+    assert cells_equal(big + 1, big + 1)
+    for order_sensitive in (False, True):
+        one, other = (ResultTable(1, ((v,),), order_sensitive) for v in (big, big + 1))
+        assert not results_equivalent(one, other)
+
+
+def test_large_integer_multisets_compare_exactly():
+    big = 2**60
+    pair = ResultTable(1, ((big,), (big + 1,)))
+    assert not results_equivalent(pair, ResultTable(1, ((big + 1,), (big + 1,))))
+    assert results_equivalent(pair, ResultTable(1, ((big + 1,), (big,))))
+
+
+def test_large_integers_sort_by_value_among_nulls():
+    # The NULL makes the native sort raise, so the typed key orders the rows.
+    # Above the matching cutoff only that order lines the rows up, so it must
+    # tell 2**60 from 2**60 + 1 as cells_equal does.
+    big = 2**60
+    n = TOLERANT_MATCH_MAX_ROWS + 1
+    rows = [(big + 1,), (None,), (big,), *((i,) for i in range(n))]
+    table = ResultTable(1, tuple(rows))
+    assert table.sorted_rows == ((None,), *((i,) for i in range(n)), (big,), (big + 1,))
+    assert results_equivalent(table, ResultTable(1, tuple(reversed(rows))))
+    repeated = [(big + 1,) if row == (big,) else row for row in rows]
+    assert not results_equivalent(table, ResultTable(1, tuple(repeated)))
 
 
 def test_column_count_mismatch_never_equivalent():
@@ -517,11 +552,11 @@ def test_native_sort_failing_late_falls_back_to_key():
     assert results_equivalent(table, ResultTable(2, rows))
 
 
-# Integers stay within 2**53 in magnitude, where the key's float conversion
-# is exact; some floats come in near-tolerance pairs (x, x + 5e-7).
+# Integers span SQLite's 64-bit range; some floats come in near-tolerance
+# pairs (x, x + 5e-7).
 _near = [0.0, 1.0, -2.5, 1e6, 123.456]
 _cell_kinds = {
-    "int": st.one_of(st.integers(-3, 3), st.integers(-(2**53), 2**53)),
+    "int": st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1)),
     "float": st.one_of(
         st.sampled_from(_near + [x + 5e-7 for x in _near]),
         st.floats(allow_nan=False),

@@ -112,7 +112,7 @@ def replay_config(replay_cache):
 
 @pytest.fixture
 def four_cpus(monkeypatch):
-    """Replay may use four CPUs, so four work slots make four workers on any host."""
+    """Replay may use four CPUs, so max_inflight_requests=4 makes four workers on any host."""
     monkeypatch.setattr(pipeline, "usable_cpus", lambda: 4)
 
 
@@ -340,7 +340,8 @@ def test_record_backend_votes_while_requests_are_out(
         _generate(catalog, questions, config, tmp_path / "arts", gateway)
     finally:
         sys.setswitchinterval(interval)
-    assert max(activity.peak.values()) <= inflight
+    assert activity.peak["post"] <= inflight
+    assert activity.peak["vote"] <= 2 * inflight
     assert activity.overlaps >= 1
     got = (tmp_path / "arts" / "predictions.json").read_text()
     assert got == (FIXTURES / "expected_predictions.json").read_text()
@@ -1124,6 +1125,19 @@ def test_cli_eval_malformed_predictions_is_named_error(
     assert f"{path}: {named}" in err
 
 
+@pytest.mark.parametrize(
+    "question_id", [None, [0], True, {"x": 1}, 1.5], ids=["null", "array", "bool", "object", "float"]
+)
+def test_load_predictions_refuses_a_question_id_of_another_type(tmp_path, question_id):
+    path = tmp_path / "predictions.json"
+    entries = [{"question_id": 0, "sql": "SELECT 1"}, {"question_id": question_id, "sql": "SELECT 2"}]
+    path.write_text(json.dumps(entries))
+    with pytest.raises(SpiderFormatError) as raised:
+        load_predictions(path)
+    named = f"entry 1: question_id is not a string or an integer: {question_id!r}"
+    assert str(raised.value) == f"{path}: {named}"
+
+
 def test_cli_eval_refuses_predictions_that_repeat_a_question_id(
     corpus_dir, replay_cache, questions, tmp_path, capsys
 ):
@@ -1541,9 +1555,9 @@ def test_a_worker_that_dies_fails_its_unanswered_questions(
 def test_forked_replay_matches_the_in_process_run(
     catalog, questions, replay_cache, tmp_path, monkeypatch, four_cpus
 ):
-    # One work slot runs the stages in the test process; four work a shard
-    # there and fork three children, from the thread that called the stage
-    # and no other.
+    # max_inflight_requests=1 runs the stages in the test process; 4 works a
+    # shard there and forks three children, from the thread that called the
+    # stage and no other.
     pids = _CallLog(tmp_path / "pids.jsonl")
     link_schema = pipeline.link_schema
     fork = os.fork
@@ -1673,7 +1687,7 @@ def test_the_stage_process_works_ahead_while_a_child_is_slow(
 def test_replay_forks_no_more_workers_than_it_has_cpus(
     catalog, questions, replay_config, tmp_path, monkeypatch
 ):
-    # Four work slots on two usable CPUs: each stage forks one child.
+    # max_inflight_requests=4 on two usable CPUs: each stage forks one child.
     assert replay_config.max_inflight_requests == 4
     fork = os.fork
     forks = []
@@ -1701,7 +1715,7 @@ def test_usable_cpus_are_the_ones_this_process_may_run_on(monkeypatch):
 def test_replay_without_fork_answers_inline_in_question_order(
     catalog, questions, replay_cache, tmp_path, monkeypatch
 ):
-    # Where os.fork is missing, four work slots start no worker and no thread.
+    # Where os.fork is missing, max_inflight_requests=4 starts no worker and no thread.
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", None)
     config = PipelineConfig(backend="replay", cache_dir=replay_cache, max_inflight_requests=4)
