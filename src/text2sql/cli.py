@@ -118,57 +118,34 @@ def _print_summaries(*summaries: StageSummary) -> int:
     return EXIT_OK if all(summary.ok for summary in summaries) else EXIT_PARTIAL
 
 
-def _eval_and_print(
-    catalog, questions, config: PipelineConfig, out_dir: Path, predictions_path: Path
-) -> None:
+def _run_stages(
+    args: argparse.Namespace, config: PipelineConfig, catalog, questions, *stages
+) -> int:
+    """Run each pipeline stage over the dataset in turn; print their summaries."""
+    gateway = make_gateway(config)
+    return _print_summaries(
+        *[stage(catalog, questions, gateway, config, args.out, force=args.force) for stage in stages]
+    )
+
+
+def cmd_eval(args: argparse.Namespace, config: PipelineConfig, catalog, questions) -> int:
+    # run has no --predictions: it scores the file its generate stage wrote.
+    predictions_path = getattr(args, "predictions", None) or args.out / "predictions.json"
     predictions = load_predictions(predictions_path)
-    report = run_eval_stage(catalog, questions, predictions, config, out_dir)
-    _emit(report_text(report))
-
-
-def _stage_command(stage):
-    """The command that runs one pipeline stage over the dataset."""
-
-    def command(args: argparse.Namespace) -> int:
-        config = config_from_args(args)
-        catalog, questions = _load_dataset(args)
-        gateway = make_gateway(config)
-        return _print_summaries(
-            stage(catalog, questions, gateway, config, args.out, force=args.force)
-        )
-
-    return command
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    catalog, questions = _load_dataset(args)
-    predictions_path = args.predictions or args.out / "predictions.json"
-    _eval_and_print(catalog, questions, config, args.out, predictions_path)
+    _emit(report_text(run_eval_stage(catalog, questions, predictions, config, args.out)))
     return EXIT_OK
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    catalog, questions = _load_dataset(args)
-    gateway = make_gateway(config)
-
-    summaries = []
-    if config.effective_use_linking:
-        summaries.append(
-            run_link_stage(catalog, questions, gateway, config, args.out, force=args.force)
-        )
-    summaries.append(
-        run_generate_stage(catalog, questions, gateway, config, args.out, force=args.force)
-    )
-    exit_code = _print_summaries(*summaries)
-    _eval_and_print(catalog, questions, config, args.out, args.out / "predictions.json")
+def cmd_run(args: argparse.Namespace, config: PipelineConfig, catalog, questions) -> int:
+    linking = (run_link_stage,) if config.effective_use_linking else ()
+    exit_code = _run_stages(args, config, catalog, questions, *linking, run_generate_stage)
+    cmd_eval(args, config, catalog, questions)
     return exit_code
 
 
-def cmd_dump_prompt(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    catalog, questions = _load_dataset(args)
+def cmd_dump_prompt(
+    args: argparse.Namespace, config: PipelineConfig, catalog, questions
+) -> int:
     question = next((q for q in questions if q.question_id == args.question_id), None)
     if question is None:
         raise ConfigurationError(f"no question with id {args.question_id!r}")
@@ -180,8 +157,8 @@ def cmd_dump_prompt(args: argparse.Namespace) -> int:
 
 
 COMMANDS = {
-    "link": _stage_command(run_link_stage),
-    "generate": _stage_command(run_generate_stage),
+    "link": lambda *loaded: _run_stages(*loaded, run_link_stage),
+    "generate": lambda *loaded: _run_stages(*loaded, run_generate_stage),
     "eval": cmd_eval,
     "run": cmd_run,
     "dump-prompt": cmd_dump_prompt,
@@ -192,7 +169,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
     try:
-        return COMMANDS[args.command](args)
+        config = config_from_args(args)
+        catalog, questions = _load_dataset(args)
+        return COMMANDS[args.command](args, config, catalog, questions)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,10 +19,8 @@ BACKENDS = ("live", "record", "replay")
 ENV_PREFIX = "TEXT2SQL_"
 API_KEY_ENV = "TEXT2SQL_API_KEY"
 
-_COUNT_FIELDS = (
-    "n_samples", "recall_samples", "k_tables", "k_columns", "max_inflight_requests",
-    "max_generation_tokens", "max_recall_tokens", "retry_attempts",
-)
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 @dataclass(frozen=True)
@@ -48,8 +46,10 @@ class PipelineConfig:
     retry_attempts: int = 5
 
     def __post_init__(self) -> None:
-        for name in _COUNT_FIELDS:
-            if getattr(self, name) < 1:
+        # Every integer setting counts samples, tables, columns, requests,
+        # tokens or attempts, and none of them works at 0.
+        for name, field_type in _FIELD_TYPES.items():
+            if field_type is int and getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.backend not in BACKENDS:
             raise ConfigurationError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
@@ -129,23 +129,11 @@ def parse_config_file(path: Path | str) -> dict[str, str]:
 def _coerce(name: str, raw: Any, target_type: type) -> Any:
     if isinstance(raw, target_type) and not isinstance(raw, str):
         return raw
-    text = str(raw)
     try:
         if target_type is bool:
-            lowered = text.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(text)
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-        if target_type is Path:
-            return Path(text)
-        return text
-    except ValueError as exc:
+            return _BOOLEANS[str(raw).lower()]
+        return target_type(str(raw))
+    except (KeyError, ValueError) as exc:
         raise ConfigurationError(f"cannot parse {name}={raw!r} as {target_type.__name__}") from exc
 
 

@@ -214,17 +214,29 @@ def _run_statement(
 
 
 def cells_equal(a, b) -> bool:
-    """Cell equivalence: two integers exactly, other numbers equal or within
-    1e-6 absolute tolerance (int 3 == real 3.0, inf == inf, inf != -inf),
-    everything else by exact equality with matching type class."""
+    """Cell equivalence: numbers equal by value as SQLite compares them (int 3
+    == real 3.0, inf == inf, inf != -inf), or within 1e-6 absolute tolerance
+    when a float with a fraction is involved; everything else by exact
+    equality with matching type class."""
     if a is None or b is None:
         return a is None and b is None
     a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
     b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
     if a_num and b_num:
-        if isinstance(a, int) and isinstance(b, int):
-            return a == b  # float() would tie distinct integers beyond 2**53
-        return a == b or abs(float(a) - float(b)) <= NUMERIC_TOLERANCE
+        if a == b:
+            return True
+        # Two different whole numbers differ by at least 1; through float(),
+        # an integer beyond 2**53 would tie with a nearby whole float.
+        if (isinstance(a, int) or a.is_integer()) and (isinstance(b, int) or b.is_integer()):
+            return False
+        difference = abs(float(a) - float(b))
+        if difference != NUMERIC_TOLERANCE:
+            return difference < NUMERIC_TOLERANCE
+        # The subtraction rounds, so a difference just above the tolerance can
+        # land on it; decide that rare case exactly (fractions loads on demand).
+        from fractions import Fraction
+
+        return abs(Fraction(a) - Fraction(b)) <= Fraction(NUMERIC_TOLERANCE)
     if type(a) is not type(b):
         return False
     return a == b

@@ -26,7 +26,7 @@ from json import dumps as json_dumps  # _UrllibSession.post has a parameter name
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import PipelineConfig
+from .config import API_KEY_ENV, PipelineConfig
 from .errors import (
     AuthenticationError,
     CacheCorruptError,
@@ -278,7 +278,7 @@ class LiveGateway:
         session=None,  # anything with the call shape of requests.Session.post
     ):
         if not api_key:
-            raise AuthenticationError("no API key configured for the live backend")
+            raise AuthenticationError(f"no API key for the live backend (set {API_KEY_ENV})")
         try:
             parts = urllib.parse.urlsplit(base_url)
             valid = parts.scheme in ("http", "https") and bool(parts.hostname) and parts.port != 0

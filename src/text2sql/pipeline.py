@@ -48,7 +48,7 @@ from typing import TypeVar
 
 from .catalog import DatabaseSchema, FkRelation, Question, question_id_text, read_json_file
 from .config import PipelineConfig, api_key_from_env
-from .errors import ConfigurationError, SpiderFormatError, Text2SqlError
+from .errors import SpiderFormatError, Text2SqlError
 from .evaluation import (
     OUTCOME_MISMATCH,
     OUTCOMES,
@@ -88,19 +88,15 @@ def make_gateway(config: PipelineConfig):
     """Build the gateway for the configured backend.
 
     The replay backend never touches the network; live/record require an API
-    key up front so misconfiguration fails before any work is scheduled.
+    key up front (``LiveGateway`` checks it) so misconfiguration fails before
+    any work is scheduled.
     """
     cache = CacheStore(config.cache_dir)
     if config.backend == "replay":
         return ReplayGateway(cache)
-    key = api_key_from_env()
-    if not key:
-        raise ConfigurationError(
-            f"backend {config.backend!r} needs an API key (set TEXT2SQL_API_KEY)"
-        )
     live = LiveGateway(
         config.api_base,
-        key,
+        api_key_from_env(),
         max_attempts=config.retry_attempts,
         max_inflight=config.max_inflight_requests,
     )

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import sqlite3
 import threading
 from contextlib import closing
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from text2sql.errors import DatabaseMissingError
 from text2sql.executor import (
     MAX_RESULT_ROWS,
+    NUMERIC_TOLERANCE,
     STATUS_SUCCESS,
     STATUS_ERROR,
     STATUS_OVERFLOW,
@@ -203,6 +206,36 @@ def test_large_integers_sort_by_value_among_nulls():
     assert results_equivalent(table, ResultTable(1, tuple(reversed(rows))))
     repeated = [(big + 1,) if row == (big,) else row for row in rows]
     assert not results_equivalent(table, ResultTable(1, tuple(repeated)))
+
+
+@pytest.mark.parametrize("integer, whole", [(2**60 + 1, 2.0**60), (2**63 - 1, 2.0**63)])
+def test_integer_and_whole_float_compare_exactly(integer, whole):
+    # Through float() the integer rounds onto the whole float; SQLite tells
+    # them apart, and so every tolerance-free comparison must.
+    with closing(sqlite3.connect(":memory:")) as connection:
+        assert connection.execute("SELECT ? = ?", (integer, whole)).fetchone() == (0,)
+    assert float(integer) == whole
+    assert not cells_equal(integer, whole)
+    assert not cells_equal(whole, integer)
+    for order_sensitive in (False, True):
+        one, other = (ResultTable(1, ((v,),), order_sensitive) for v in (integer, whole))
+        assert not results_equivalent(one, other)
+        assert not results_equivalent(other, one)
+
+
+def test_equal_values_and_fractions_within_tolerance_stay_equal():
+    assert cells_equal(2.0**60, 2**60)
+    assert cells_equal(3, 3.0000001)
+
+
+@pytest.mark.parametrize("a, b", [(2.23e-07, -7.77e-07), (7.5e-07, -2.5e-07)])
+def test_a_difference_that_rounds_onto_the_tolerance_is_decided_exactly(a, b):
+    # a - b rounds to exactly NUMERIC_TOLERANCE, yet the values lie further apart.
+    assert abs(a - b) == NUMERIC_TOLERANCE
+    assert abs(Fraction(a) - Fraction(b)) > Fraction(NUMERIC_TOLERANCE)
+    assert not cells_equal(a, b)
+    assert not cells_equal(b, a)
+    assert cells_equal(0.0, NUMERIC_TOLERANCE)
 
 
 def test_column_count_mismatch_never_equivalent():
@@ -552,11 +585,14 @@ def test_native_sort_failing_late_falls_back_to_key():
     assert results_equivalent(table, ResultTable(2, rows))
 
 
-# Integers span SQLite's 64-bit range; some floats come in near-tolerance
-# pairs (x, x + 5e-7).
+# Integers span SQLite's 64-bit range, and some cluster around 2**60, where
+# neighbours share one float; some floats come in near-tolerance pairs
+# (x, x + 5e-7).
 _near = [0.0, 1.0, -2.5, 1e6, 123.456]
 _cell_kinds = {
-    "int": st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1)),
+    "int": st.one_of(
+        st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1), st.integers(2**60 - 2, 2**60 + 2)
+    ),
     "float": st.one_of(
         st.sampled_from(_near + [x + 5e-7 for x in _near]),
         st.floats(allow_nan=False),
@@ -617,3 +653,91 @@ def test_native_first_sort_keeps_keyed_verdict(pair, seed):
         random.Random(seed).shuffle(permuted)
         assert table.sorted_rows == keyed.sorted_rows
         assert ResultTable(table.column_count, tuple(permuted)).sorted_rows == keyed.sorted_rows
+
+
+def _sqlite_equal(a: ResultTable, b: ResultTable) -> bool:
+    """The reference verdict: SQLite's own comparison of the two tables as
+    multisets of rows, each row keyed by its position when either table is
+    order sensitive (and by 0 otherwise)."""
+    if a.column_count != b.column_count:
+        return False
+    ordered = a.order_sensitive or b.order_sensitive
+    columns = ", ".join(f"c{i}" for i in range(a.column_count))
+
+    def grouped(name):
+        return f"SELECT r, {columns}, count(*) FROM {name} GROUP BY r, {columns}"
+
+    with closing(sqlite3.connect(":memory:")) as connection:
+        for name, table in (("a", a), ("b", b)):
+            connection.execute(f"CREATE TABLE {name} (r, {columns})")
+            connection.executemany(
+                f"INSERT INTO {name} VALUES (?{', ?' * a.column_count})",
+                [(i if ordered else 0, *row) for i, row in enumerate(table.rows)],
+            )
+        return not any(
+            connection.execute(f"{grouped(x)} EXCEPT {grouped(y)}").fetchone()
+            for x, y in (("a", "b"), ("b", "a"))
+        )
+
+
+def _finite_numbers(table: ResultTable) -> list:
+    return [
+        cell
+        for row in table.rows
+        for cell in row
+        if isinstance(cell, (int, float)) and not isinstance(cell, bool) and abs(cell) != math.inf
+    ]
+
+
+def _within_tolerance_apart(a: ResultTable, b: ResultTable) -> bool:
+    """Whether some number pair across the tables holds a float and differs,
+    measured exactly, by more than 0 and at most NUMERIC_TOLERANCE."""
+    tolerance = Fraction(NUMERIC_TOLERANCE)
+    return any(
+        (isinstance(x, float) or isinstance(y, float))
+        and 0 < abs(Fraction(x) - Fraction(y)) <= tolerance
+        for x in _finite_numbers(a)
+        for y in _finite_numbers(b)
+    )
+
+
+@st.composite
+def _sqlite_table_pairs(draw):
+    # Independent pairs, or a permuted copy in which an integer may become
+    # the float of equal value and a float may move by less than the tolerance.
+    width = draw(st.integers(1, 3))
+
+    def table(rows):
+        return ResultTable(width, tuple(rows), order_sensitive=draw(st.booleans()))
+
+    def rows():
+        return [
+            tuple(draw(_cell_kinds["any"]) for _ in range(width))
+            for _ in range(draw(st.integers(0, 4)))
+        ]
+
+    def moved(cell):
+        if isinstance(cell, int) and draw(st.booleans()):
+            return float(cell)
+        if isinstance(cell, float) and abs(cell) != math.inf and draw(st.booleans()):
+            tolerance = NUMERIC_TOLERANCE
+            return cell + draw(st.floats(-tolerance, tolerance, exclude_min=True, exclude_max=True))
+        return cell
+
+    left = rows()
+    if draw(st.booleans()):
+        return table(left), table(rows())
+    right = [tuple(moved(cell) for cell in row) for row in left]
+    return table(left), table(draw(st.permutations(right)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sqlite_table_pairs())
+@example((ResultTable(1, ((2**60 + 1,),)), ResultTable(1, ((2.0**60,),))))
+@example((ResultTable(1, ((2.23e-07,),)), ResultTable(1, ((-7.77e-07,),))))
+def test_results_equivalent_agrees_with_sqlite_up_to_the_tolerance(pair):
+    a, b = pair
+    if _sqlite_equal(a, b):
+        assert results_equivalent(a, b)
+    elif results_equivalent(a, b):
+        assert _within_tolerance_apart(a, b)

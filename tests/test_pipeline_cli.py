@@ -172,6 +172,19 @@ def test_env_value_reaches_config_as_annotated_type(data):
         load_config(env={}, overrides={"no_such_field": "1"})
 
 
+def test_every_integer_setting_must_be_at_least_one():
+    hints = get_type_hints(PipelineConfig)
+    counts = [name for name, hint in hints.items() if hint is int]
+    assert counts == [
+        "n_samples", "recall_samples", "k_tables", "k_columns", "max_inflight_requests",
+        "max_generation_tokens", "max_recall_tokens", "retry_attempts",
+    ]
+    for name in counts:
+        PipelineConfig(**{name: 1})
+        with pytest.raises(ConfigurationError, match=f"^{name} must be >= 1$"):
+            PipelineConfig(**{name: 0})
+
+
 def test_no_self_consistency_forces_single_sample():
     config = PipelineConfig(use_self_consistency=False)
     assert config.effective_n_samples == 1
@@ -747,6 +760,19 @@ def test_cli_live_without_key_is_config_error(corpus_dir, tmp_path, monkeypatch,
     assert not (tmp_path / "arts").exists()
 
 
+@pytest.mark.parametrize("command", [["eval"], ["dump-prompt", "--question-id", "0"]])
+def test_cli_commands_that_send_no_request_need_no_api_key(
+    corpus_dir, replay_cache, tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.delenv("TEXT2SQL_API_KEY", raising=False)
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts")
+    assert main(["run", *args]) == 0
+    capsys.readouterr()
+    assert main([*command, *args, "--backend", "live"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("api_base", ["api.example/v1", "http://[::1/v1"])
 def test_cli_record_with_bad_api_base_is_config_error(
     corpus_dir, tmp_path, monkeypatch, capsys, api_base
@@ -973,6 +999,8 @@ def test_cli_missing_dataset_file_is_named_error(
         ([], {"TEXT2SQL_EXEC_TIMEOUT": "nan"}, "exec_timeout must be positive and finite"),
         ([], {"TEXT2SQL_EXEC_TIMEOUT": "inf"}, "exec_timeout must be positive and finite"),
         ([], {"TEXT2SQL_LAYOUT": "bogus"}, "unknown layout 'bogus'"),
+        ([], {"TEXT2SQL_N_SAMPLES": "abc"}, "cannot parse n_samples='abc' as int"),
+        ([], {"TEXT2SQL_USE_LINKING": "maybe"}, "cannot parse use_linking='maybe' as bool"),
     ],
 )
 def test_cli_out_of_range_setting_is_config_error(
@@ -993,15 +1021,41 @@ def test_cli_missing_config_file_is_config_error(corpus_dir, replay_cache, tmp_p
     assert str(missing) in err
 
 
-@pytest.mark.parametrize("which, entry", [("tables", "entry 0"), ("questions", "record 0")])
+def test_cli_config_line_without_equals_is_config_error(corpus_dir, replay_cache, tmp_path, capsys):
+    config_file = tmp_path / "pipeline.cfg"
+    config_file.write_text("# samples\nn_samples 3\n")
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts") + ["--config", str(config_file)]
+    err = _fault_line(capsys, main(["run", *args]), 2, prefix="configuration error: ")
+    assert f"{config_file}:2: expected 'key = value', got 'n_samples 3'" in err
+
+
+def test_cli_dump_prompt_of_an_unknown_question_is_config_error(
+    corpus_dir, replay_cache, tmp_path, capsys
+):
+    args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts")
+    rc = main(["dump-prompt", *args, "--question-id", "nope"])
+    err = _fault_line(capsys, rc, 2, prefix="configuration error: ")
+    assert err == "configuration error: no question with id 'nope'\n"
+
+
+@pytest.mark.parametrize(
+    "which, text, named",
+    [
+        ("tables", "[1]", "entry 0"),
+        ("questions", "[1]", "record 0"),
+        ("tables", '{"db_id": "x"}', "expected a JSON array of database descriptors"),
+        ("questions", '{"db_id": "x"}', "expected a JSON array of question records"),
+    ],
+    ids=["tables-entry 0", "questions-record 0", "tables-object", "questions-object"],
+)
 def test_cli_non_object_dataset_entry_is_named_error(
-    corpus_dir, replay_cache, tmp_path, capsys, which, entry
+    corpus_dir, replay_cache, tmp_path, capsys, which, text, named
 ):
     bad = tmp_path / f"{which}.json"
-    bad.write_text("[1]")
+    bad.write_text(text)
     args = _cli_args(corpus_dir, replay_cache, tmp_path / "arts", **{which: bad})
     err = _fault_line(capsys, main(["run", *args]), 1)
-    assert f"{bad}: {entry}" in err
+    assert f"{bad}: {named}" in err
 
 
 @pytest.mark.parametrize(
@@ -1018,6 +1072,7 @@ def test_cli_non_object_dataset_entry_is_named_error(
          "concert_singer: column entry 2 names table index -5, but there are 4 tables"),
         ("table_names_original", 1, 5, "concert_singer: table name 1 is not a string: 5"),
         ("db_id", None, 5, "database descriptor without a string db_id: 5"),
+        ("table_names_original", None, "stadium", "concert_singer: table names are not a JSON array"),
     ],
     ids=[
         "column-entry-of-one",
@@ -1028,6 +1083,7 @@ def test_cli_non_object_dataset_entry_is_named_error(
         "table-index-minus-5",
         "integer-table-name",
         "integer-db-id",
+        "string-table-names",
     ],
 )
 def test_cli_malformed_tables_entry_is_named_error(
