@@ -121,11 +121,16 @@ def _print_summaries(*summaries: StageSummary) -> int:
 def _run_stages(
     args: argparse.Namespace, config: PipelineConfig, catalog, questions, *stages
 ) -> int:
-    """Run each pipeline stage over the dataset in turn; print their summaries."""
+    """Run each pipeline stage over the dataset in turn; print their summaries.
+    The gateway's POST threads have ended when this returns."""
     gateway = make_gateway(config)
-    return _print_summaries(
-        *[stage(catalog, questions, gateway, config, args.out, force=args.force) for stage in stages]
-    )
+    try:
+        summaries = [
+            stage(catalog, questions, gateway, config, args.out, force=args.force) for stage in stages
+        ]
+    finally:
+        gateway.close()
+    return _print_summaries(*summaries)
 
 
 def cmd_eval(args: argparse.Namespace, config: PipelineConfig, catalog, questions) -> int:

@@ -21,6 +21,7 @@ import tempfile
 import threading
 import time
 import urllib.parse
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from json import dumps as json_dumps  # _UrllibSession.post has a parameter named json
 from pathlib import Path
@@ -197,6 +198,9 @@ class ReplayGateway:
             raise CacheMissError(fingerprint)
         return completion
 
+    def close(self) -> None:
+        """Nothing to release: replay starts no thread."""
+
 
 def _retry_after_seconds(value: str | None) -> float:
     """The wait a numeric ``Retry-After`` asks for, in seconds, at most ``MAX_RETRY_AFTER_S``;
@@ -255,6 +259,13 @@ class _UrllibSession:
 class LiveGateway:
     """HTTP chat-completions client with bounded concurrency and retries.
 
+    Every POST runs on a pool of ``max_inflight`` threads that the gateway owns,
+    so no more than that many are in flight. A thread that finishes a POST takes
+    the next waiting one straight away; the caller's thread reads the reply,
+    retries and backs off, so a request that waits to retry holds no POST
+    thread. The threads start with the first POST and end at ``close``, or
+    once the gateway is dropped.
+
     The wait before retry k (k >= 1) is ``backoff_seconds * 2 ** (k - 1)``, or a
     longer numeric ``Retry-After`` sent with a 429 or 503, capped at ``MAX_RETRY_AFTER_S``.
 
@@ -294,7 +305,11 @@ class LiveGateway:
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
         self._session = session or _UrllibSession()
-        self._inflight = threading.BoundedSemaphore(max_inflight)
+        self._posts = ThreadPoolExecutor(max_workers=max_inflight, thread_name_prefix="post")
+
+    def close(self) -> None:
+        """Wait for the POSTs in flight, then end the POST threads."""
+        self._posts.shutdown()
 
     def complete(self, exchange: ChatExchange) -> ChatCompletion:
         body = exchange_payload(exchange)
@@ -309,10 +324,9 @@ class LiveGateway:
                 time.sleep(max(retry_after, self.backoff_seconds * 2 ** (attempt - 1)))
             retry_after = 0.0
             try:
-                with self._inflight:
-                    response = self._session.post(
-                        url, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S
-                    )
+                response = self._posts.submit(
+                    self._session.post, url, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S
+                ).result()
             except self._transport_errors as exc:
                 last_error = exc
                 log.warning("transport failure (attempt %d): %s", attempt + 1, exc)
@@ -394,3 +408,7 @@ class RecordingGateway:
             raise GatewayError(f"transport returned {exc}") from exc
         self.cache.store(fingerprint, exchange, completion)
         return completion
+
+    def close(self) -> None:
+        """Close the transport, which ends a ``LiveGateway``'s POST threads."""
+        self.transport.close()

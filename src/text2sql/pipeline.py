@@ -4,10 +4,10 @@ The link and generate stages journal one JSON line per question in
 ``link.jsonl`` and ``votes.jsonl`` (see ``Journal``) and skip the questions
 already journaled, so interrupted live runs resume cheaply.
 
-max_inflight_requests bounds the POSTs in flight (``LiveGateway`` holds that
-bound), replay's worker processes and eval's re-scoring threads. The live and
-record backends run twice that many threads, so questions vote while others
-wait on their POSTs; at most twice that many run SQLite at once. A replayed
+max_inflight_requests bounds the POSTs in flight (``LiveGateway`` posts on
+that many threads), replay's worker processes and eval's re-scoring threads.
+The live and record backends run twice that many threads, so questions vote
+while others wait on their POSTs; at most twice that many run SQLite at once. A replayed
 call waits on nothing, so replay's work is Python that threads cannot overlap.
 Each stage runs worker processes instead, no more than max_inflight_requests
 or the CPUs it may use: its own, and one forked child per other worker (none
@@ -352,11 +352,11 @@ def _run_stage(
     of aborting the batch; failures are in question order.
 
     ``max_inflight_requests`` bounds the POSTs in flight (``LiveGateway``
-    holds that bound), replay's workers and eval's re-scoring threads. Live
-    and record answer on twice that many threads (``_pool_as_completed``) and
-    journal answers as they finish: while up to half of them wait on a POST,
-    the rest vote. Replay journals them in question order
-    (``_forked_answers``) from as many workers as the smallest of
+    posts on that many threads), replay's workers and eval's re-scoring
+    threads. Live and record answer on twice that many threads
+    (``_pool_as_completed``) and journal answers as they finish: while up to
+    half of them wait on a POST, the rest vote. Replay journals them in
+    question order (``_forked_answers``) from as many workers as the smallest of
     ``max_inflight_requests``, the usable CPUs (``usable_cpus``) and the
     questions, and from one where the platform cannot fork. The stage's
     process is one of the workers and forks a child for each other one,

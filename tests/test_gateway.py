@@ -8,6 +8,7 @@ import ssl
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -296,6 +297,33 @@ def test_live_honours_numeric_retry_after(monkeypatch, responses, waits):
     completion = _live(session, backoff_seconds=1.0).complete(_exchange())
     assert completion.texts == ("text 0",)
     assert slept == waits
+
+
+def test_live_request_backing_off_holds_no_post_thread(monkeypatch):
+    # One POST thread: while request a waits out its Retry-After, request b posts on it.
+    backing_off, b_answered = threading.Event(), threading.Event()
+
+    def sleep(seconds):
+        assert seconds == 5.0
+        backing_off.set()
+        assert b_answered.wait(10)
+
+    monkeypatch.setattr(gateway.time, "sleep", sleep)
+    ok = _FakeResponse(200, _ok_payload(1))
+    session = _FakeSession([_retry(503, "5"), ok, ok])
+    live = _live(session, backoff_seconds=1.0, max_inflight=1)
+    callers = ThreadPoolExecutor(max_workers=1)
+    try:
+        first = callers.submit(live.complete, _exchange("a"))
+        assert backing_off.wait(10)
+        assert live.complete(_exchange("b")).texts == ("text 0",)
+        b_answered.set()
+        assert first.result(timeout=10).texts == ("text 0",)
+    finally:
+        b_answered.set()
+        callers.shutdown()
+        live.close()
+    assert [body["messages"][0]["content"] for body in session.bodies] == ["a", "b", "a"]
 
 
 def test_live_auth_failure_is_fatal():

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import get_type_hints
 
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from text2sql import evaluation, executor, pipeline, voting
+from text2sql import cli, evaluation, executor, pipeline, voting
 from text2sql.catalog import DatabaseSchema, FkRelation, Question
 from text2sql.cli import main
 from text2sql.config import BACKENDS, LAYOUT_CLEAR, LAYOUT_COMPLICATED, PipelineConfig, load_config
@@ -308,9 +309,11 @@ class _ScriptedSession:
         self.model = ScriptedModel()
         self.activity = activity
         self.service_s = service_s
+        self.bodies = []
 
     def post(self, url, **request):
         body = request["json"]
+        self.bodies.append(body)
         with self.activity.running("post"):
             time.sleep(self.service_s)
         messages = tuple(ChatMessage(m["role"], m["content"]) for m in body["messages"])
@@ -358,6 +361,72 @@ def test_record_backend_votes_while_requests_are_out(
     assert activity.overlaps >= 1
     got = (tmp_path / "arts" / "predictions.json").read_text()
     assert got == (FIXTURES / "expected_predictions.json").read_text()
+
+
+def test_record_backend_writes_the_same_bytes_at_any_inflight(catalog, questions, tmp_path):
+    # Each request reaches the session once and its answer reaches its own
+    # caller, so the journals and the cache are the same at every bound.
+    caches = {}
+    for inflight in (1, 2, 4):
+        config = PipelineConfig(
+            backend="record", cache_dir=tmp_path / f"cache{inflight}", max_inflight_requests=inflight
+        )
+        out = tmp_path / f"arts{inflight}"
+        session = _ScriptedSession(_Activity())
+        gateway = _record_gateway(config, session)
+        try:
+            _generate(catalog, questions, config, out, gateway)
+        finally:
+            gateway.close()
+        for name in (LINK_JOURNAL, VOTE_JOURNAL):
+            assert (out / name).read_bytes() == (FIXTURES / f"expected_{name}").read_bytes(), name
+        caches[inflight] = {path.name: path.read_bytes() for path in config.cache_dir.iterdir()}
+        # Every cached request was posted, and posted once.
+        posted = sorted(json.dumps(body, sort_keys=True) for body in session.bodies)
+        cached = [json.loads(entry)["request"] for entry in caches[inflight].values()]
+        assert posted == sorted(json.dumps(request, sort_keys=True) for request in cached)
+    assert caches[1] and caches[1] == caches[2] == caches[4]
+
+
+def test_a_record_run_ends_its_post_threads_before_replay_forks(
+    corpus_dir, tmp_path, monkeypatch, four_cpus
+):
+    # A process that forks while it has threads risks a deadlock in the
+    # child (Python 3.12 warns of it), so replay must find no POST thread left.
+    monkeypatch.setenv("TEXT2SQL_API_KEY", "key")
+    monkeypatch.setattr(
+        "text2sql.gateway._UrllibSession", lambda: _ScriptedSession(_Activity(), service_s=0.001)
+    )
+    fork = os.fork
+    threads_at_fork = []
+
+    def watched_fork():
+        threads_at_fork.append(sorted(thread.name for thread in threading.enumerate()))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", watched_fork)
+    cmd_eval = cli.cmd_eval
+    threads_at_eval = []
+
+    def watched_cmd_eval(*args):
+        threads_at_eval.append(sorted(thread.name for thread in threading.enumerate()))
+        return cmd_eval(*args)
+
+    monkeypatch.setattr(cli, "cmd_eval", watched_cmd_eval)
+    threads = sorted(thread.name for thread in threading.enumerate())
+    cache = tmp_path / "cache"
+    record = ["run", *_cli_args(corpus_dir, cache, tmp_path / "record"), "--backend", "record"]
+    assert main(record) == 0
+    # The POST threads have ended before the run goes on to score its predictions.
+    assert threads_at_eval == [threads]
+    assert sorted(thread.name for thread in threading.enumerate()) == threads
+    assert main(["run", *_cli_args(corpus_dir, cache, tmp_path / "replay")]) == 0
+    # max_inflight_requests=4 on four usable CPUs: each of the two stages forks three children.
+    assert threads_at_fork == [threads] * 6
+    for run in ("record", "replay"):
+        for name in ("predictions.json", "report.json", LINK_JOURNAL, VOTE_JOURNAL):
+            got = (tmp_path / run / name).read_bytes()
+            assert got == (FIXTURES / f"expected_{name}").read_bytes(), (run, name)
 
 
 class _DownSession:
@@ -836,10 +905,34 @@ def test_replay_backend_never_needs_network(replay_cache):
     assert isinstance(gateway, ReplayGateway)
 
 
+class _GatedSession:
+    """A session whose every POST waits until the test lets one through. It
+    counts the POSTs in flight, and the most at once."""
+
+    def __init__(self):
+        self.started = threading.Semaphore(0)  # released as each POST starts
+        self.gate = threading.Semaphore(0)  # released by the test, once per POST it lets finish
+        self._lock = threading.Lock()
+        self.inflight = self.peak = 0
+
+    def post(self, url, **request):
+        with self._lock:
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+        self.started.release()
+        self.gate.acquire()
+        with self._lock:
+            self.inflight -= 1
+        choices = [{"message": {"content": "SELECT 1"}}] * request["json"]["n"]
+        return _FakeResponse(200, {"choices": choices})
+
+
 @pytest.mark.parametrize("backend", ["live", "record"])
 def test_make_gateway_hands_the_settings_to_the_live_gateway(tmp_path, monkeypatch, backend):
-    # Building a LiveGateway posts nothing, so this makes no network call.
+    # The session stands in for the HTTP one, so this makes no network call.
     monkeypatch.setenv("TEXT2SQL_API_KEY", "key")
+    session = _GatedSession()
+    monkeypatch.setattr("text2sql.gateway._UrllibSession", lambda: session)
     config = PipelineConfig(
         backend=backend,
         cache_dir=tmp_path / "cache",
@@ -856,9 +949,22 @@ def test_make_gateway_hands_the_settings_to_the_live_gateway(tmp_path, monkeypat
     assert (gateway.base_url, gateway.api_key, gateway.max_attempts) == (
         "https://llm.example/v1", "key", 2
     )
-    # Three requests may be out at once, and a fourth waits.
-    assert all(gateway._inflight.acquire(blocking=False) for _ in range(3))
-    assert not gateway._inflight.acquire(blocking=False)
+    # Three requests may be out at once, and a fourth starts only once one of them is answered.
+    exchanges = [ChatExchange((ChatMessage("user", f"request {i}"),)) for i in range(4)]
+    callers = ThreadPoolExecutor(max_workers=len(exchanges))
+    try:
+        answers = [callers.submit(gateway.complete, exchange) for exchange in exchanges]
+        assert all(session.started.acquire(timeout=10) for _ in range(3))
+        assert not session.started.acquire(timeout=0.2)
+        session.gate.release()
+        assert session.started.acquire(timeout=10)
+        session.gate.release(3)
+        assert [answer.result(timeout=10).texts for answer in answers] == [("SELECT 1",)] * 4
+    finally:
+        session.gate.release(len(exchanges))  # a failed check leaves no POST waiting
+        callers.shutdown()
+        gateway.close()
+    assert session.peak == 3
 
 
 def _generation_fingerprint(store, question):
