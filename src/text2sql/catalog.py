@@ -103,6 +103,8 @@ def load_spider_tables(path: Path | str) -> list[DatabaseSchema]:
     The sentinel ``(-1, "*")`` column is dropped, foreign-key column indices are
     resolved to (table, column) name pairs, and original-case names are kept.
     SQLite files are expected at ``<parent>/database/<db_id>/<db_id>.sqlite``.
+    Two descriptors with one ``db_id`` are a SpiderFormatError naming both
+    entries: a catalog keyed by ``db_id`` would keep only the last.
     """
     path = Path(path)
     raw = read_json_file(path)
@@ -110,10 +112,17 @@ def load_spider_tables(path: Path | str) -> list[DatabaseSchema]:
         raise SpiderFormatError(f"{path}: expected a JSON array of database descriptors")
 
     schemas = []
+    index_of: dict[str, int] = {}
     for idx, descriptor in enumerate(raw):
         if not isinstance(descriptor, dict):
             raise SpiderFormatError(f"{path}: entry {idx} is not a JSON object")
-        schemas.append(_schema_from_descriptor(descriptor, path))
+        schema = _schema_from_descriptor(descriptor, path)
+        if schema.db_id in index_of:
+            raise SpiderFormatError(
+                f"{path}: entries {index_of[schema.db_id]} and {idx} share db_id {schema.db_id!r}"
+            )
+        index_of[schema.db_id] = idx
+        schemas.append(schema)
     return schemas
 
 

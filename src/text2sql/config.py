@@ -71,41 +71,18 @@ class PipelineConfig:
         # The run-on layout comparison always sees the full schema.
         return self.use_linking and self.layout != LAYOUT_COMPLICATED
 
-    def prompt_config(self) -> PromptConfig:
-        return PromptConfig(
-            use_calibration=self.use_calibration,
-            layout=self.layout,
-            include_foreign_keys=self.include_foreign_keys,
-        )
+    # perfbench/run.py still calls these two; they go once it no longer does.
+    def prompt_config(self) -> PipelineConfig:
+        return self
 
-    def linking_config(self) -> LinkingConfig:
-        return LinkingConfig(
-            recall_samples=self.recall_samples,
-            k_tables=self.k_tables,
-            k_columns=self.k_columns,
-            model_name=self.model_name,
-            temperature=self.temperature,
-            max_output_tokens=self.max_recall_tokens,
-        )
+    def linking_config(self) -> PipelineConfig:
+        return self
 
 
-@dataclass(frozen=True)
-class PromptConfig:
-    """The switches that change a generation prompt; the caller picks the schema view."""
-
-    use_calibration: bool = PipelineConfig.use_calibration
-    layout: str = PipelineConfig.layout
-    include_foreign_keys: bool = PipelineConfig.include_foreign_keys
-
-
-@dataclass(frozen=True)
-class LinkingConfig:
-    recall_samples: int = PipelineConfig.recall_samples
-    k_tables: int = PipelineConfig.k_tables
-    k_columns: int = PipelineConfig.k_columns
-    model_name: str = PipelineConfig.model_name
-    temperature: float = PipelineConfig.temperature
-    max_output_tokens: int = PipelineConfig.max_recall_tokens
+# A prompt reads use_calibration, layout and include_foreign_keys, which
+# PipelineConfig holds under those names; tests/test_acceptance.py builds a
+# prompt's settings under this one.
+PromptConfig = PipelineConfig
 
 
 def parse_config_file(path: Path | str) -> dict[str, str]:

@@ -20,7 +20,7 @@ from json import JSONDecoder
 from typing import Hashable, Mapping, Sequence
 
 from .catalog import DatabaseSchema, FkRelation, Question, format_fk_line, format_table_line
-from .config import LinkingConfig
+from .config import PipelineConfig
 from .gateway import ChatExchange, ChatMessage
 
 log = logging.getLogger(__name__)
@@ -56,7 +56,7 @@ class RecallScores:
 
 
 def _recall_exchange(
-    instruction: str, schema_text: str, question: Question, config: LinkingConfig
+    instruction: str, schema_text: str, question: Question, config: PipelineConfig
 ) -> ChatExchange:
     """Single-user-message recall exchange: instruction, schema, question."""
     content = f"{instruction}\n\nSchema:\n{schema_text}\n\nQuestion:\n### {question.text}"
@@ -65,12 +65,12 @@ def _recall_exchange(
         n=config.recall_samples,
         temperature=config.temperature,
         model_name=config.model_name,
-        max_output_tokens=config.max_output_tokens,
+        max_output_tokens=config.max_recall_tokens,
     )
 
 
 def build_table_recall_prompt(
-    schema: DatabaseSchema, question: Question, config: LinkingConfig = LinkingConfig()
+    schema: DatabaseSchema, question: Question, config: PipelineConfig = PipelineConfig()
 ) -> ChatExchange:
     """Exchange asking for a full ranked table list."""
     schema_lines = "\n".join(format_table_line(name, cols) for name, cols in schema.tables)
@@ -81,7 +81,7 @@ def build_column_recall_prompt(
     schema: DatabaseSchema,
     table_names: Sequence[str],
     question: Question,
-    config: LinkingConfig = LinkingConfig(),
+    config: PipelineConfig = PipelineConfig(),
 ) -> ChatExchange:
     """Exchange asking for ranked columns of the linked tables, with the
     foreign keys among those tables listed under a "Foreign keys:" header."""
@@ -262,7 +262,7 @@ def link_schema(
     schema: DatabaseSchema,
     question: Question,
     gateway,
-    config: LinkingConfig = LinkingConfig(),
+    config: PipelineConfig = PipelineConfig(),
 ) -> tuple[DatabaseSchema, RecallScores]:
     """Run both recall steps and assemble the linked subset of ``schema`` plus scores.
 

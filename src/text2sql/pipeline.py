@@ -48,7 +48,7 @@ from typing import TypeVar
 
 from .catalog import DatabaseSchema, FkRelation, Question, question_id_text, read_json_file
 from .config import PipelineConfig, api_key_from_env
-from .errors import SpiderFormatError, Text2SqlError
+from .errors import ConfigurationError, SpiderFormatError, Text2SqlError
 from .evaluation import (
     OUTCOME_MISMATCH,
     OUTCOMES,
@@ -349,7 +349,9 @@ def _run_stage(
     for every question it has no line for, which is every question when
     forced; the summary, and the journal with every payload. An exception
     from one question's work becomes a named failure in the summary instead
-    of aborting the batch; failures are in question order.
+    of aborting the batch; failures are in question order. A
+    ``ConfigurationError``, such as rejected credentials, would fail every
+    question alike, so it ends the stage instead.
 
     ``max_inflight_requests`` bounds the POSTs in flight (``LiveGateway``
     posts on that many threads), replay's workers and eval's re-scoring
@@ -377,6 +379,8 @@ def _run_stage(
             return f"unknown db_id {question.db_id}"
         try:
             return work(question, schema)
+        except ConfigurationError:
+            raise
         except Text2SqlError as exc:
             return str(exc)
         except Exception as exc:
@@ -418,7 +422,7 @@ def run_link_stage(
     """Journal each question's linked schema and recall scores in link.jsonl."""
 
     def work(question: Question, schema: DatabaseSchema) -> dict:
-        linked, scores = link_schema(schema, question, gateway, config.linking_config())
+        linked, scores = link_schema(schema, question, gateway, config)
         return _link_artifact(question, linked, scores)
 
     return _run_stage("link", catalog, questions, config, out_dir / LINK_JOURNAL, work, force)[0]

@@ -12,7 +12,7 @@ from .catalog import (
     format_table_line,
     serialize_complicated_layout,
 )
-from .config import LAYOUT_COMPLICATED, PipelineConfig, PromptConfig
+from .config import LAYOUT_COMPLICATED, PipelineConfig
 from .gateway import ChatExchange, ChatMessage
 
 log = logging.getLogger(__name__)
@@ -85,7 +85,7 @@ def clear_generation_context(view: DatabaseSchema, include_foreign_keys: bool) -
 
 
 def generation_user_message(
-    view: DatabaseSchema, question: Question, config: PromptConfig
+    view: DatabaseSchema, question: Question, config: PipelineConfig
 ) -> str:
     if config.layout == LAYOUT_COMPLICATED:
         return serialize_complicated_layout(view, question)
@@ -103,7 +103,7 @@ def generation_user_message(
 def build_generation_prompt(
     view: DatabaseSchema,
     question: Question,
-    config: PromptConfig,
+    config: PipelineConfig,
     *,
     n: int = PipelineConfig.n_samples,
     temperature: float = PipelineConfig.temperature,

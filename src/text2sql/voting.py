@@ -204,7 +204,7 @@ def generation_request(
     return build_generation_prompt(
         view,
         question,
-        config.prompt_config(),
+        config,
         n=config.effective_n_samples,
         temperature=config.temperature,
         model_name=config.model_name,

@@ -132,6 +132,30 @@ def test_inconsistent_descriptor_is_named_format_error(tmp_path, descriptor, nam
     assert str(excinfo.value) == f"{path}: d: {named}"
 
 
+def test_foreign_key_from_a_column_to_itself_is_named_format_error(tmp_path):
+    descriptor = {"table_names_original": ["t"], "column_names_original": _STAR_AND_A,
+                  "foreign_keys": [[1, 1]]}
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([{"db_id": "d", **descriptor}]))
+    with pytest.raises(SpiderFormatError) as excinfo:
+        load_spider_tables(path)
+    assert str(excinfo.value) == f"{path}: d: foreign key endpoints are identical"
+
+
+def test_descriptors_that_repeat_a_db_id_are_named_format_error(tmp_path):
+    # A catalog keyed by db_id would keep only the last, so questions about
+    # table a would run against a schema that holds only table b.
+    descriptors = [
+        {"db_id": db_id, "table_names_original": [table], "column_names_original": _STAR_AND_A}
+        for db_id, table in (("d", "a"), ("e", "a"), ("d", "b"))
+    ]
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(descriptors))
+    with pytest.raises(SpiderFormatError) as excinfo:
+        load_spider_tables(path)
+    assert str(excinfo.value) == f"{path}: entries 0 and 2 share db_id 'd'"
+
+
 def test_load_questions_reads_gold_and_assigns_ids(tmp_path):
     path = tmp_path / "dev.json"
     path.write_text(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from text2sql import linking
 from text2sql.catalog import DatabaseSchema, Question
-from text2sql.config import LinkingConfig
+from text2sql.config import PipelineConfig
 from text2sql.gateway import ChatCompletion
 from text2sql.linking import (
     MAX_OBJECT_DECODES,
@@ -439,7 +439,7 @@ def _link_oracle(schema, table_texts, column_texts):
     """What link_schema returns, from the per-sample functions with every
     sample parsed and counted on its own: a score is the number of samples
     whose kept top-k holds the item, over the number of samples."""
-    config = LinkingConfig()
+    config = PipelineConfig()
     names = [name for name, _ in schema.tables]
     table_samples = [parse_table_list(text, schema)[: config.k_tables] for text in table_texts]
     linked = names

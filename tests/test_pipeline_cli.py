@@ -220,7 +220,7 @@ def test_a_question_answered_on_resume_takes_its_place_in_the_journal(
     shutil.copytree(replay_cache, cache_dir)
     config = PipelineConfig(backend="replay", cache_dir=cache_dir)
     question = questions[5]
-    exchange = build_table_recall_prompt(catalog[question.db_id], question, config.linking_config())
+    exchange = build_table_recall_prompt(catalog[question.db_id], question, config)
     entry = CacheStore(cache_dir).path_for(request_fingerprint(exchange))
     entry.rename(tmp_path / "moved.json")
     summary = run_link_stage(catalog, questions, make_gateway(config), config, tmp_path / "arts")
@@ -459,6 +459,67 @@ def test_record_backend_transport_failures_end_as_named_failures(catalog, questi
         for _, message in summary.failures:
             assert "request failed after 1 attempts" in message
             assert "connection refused" in message
+
+
+class _RejectingSession:
+    """A completion endpoint that answers every POST with HTTP 401."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.posts = 0
+
+    def post(self, url, **request):
+        with self._lock:
+            self.posts += 1
+        return _FakeResponse(401, text="invalid api key")
+
+
+def test_rejected_credentials_end_the_run_with_exit_2(
+    corpus_dir, questions, tmp_path, monkeypatch, capsys
+):
+    # Every question would fail alike, so the first rejection ends the run
+    # before eval scores a file of failures. A question thread that finishes
+    # may take one more question before the pool cancels the rest.
+    monkeypatch.setenv("TEXT2SQL_API_KEY", "bad")
+    monkeypatch.setenv("TEXT2SQL_MAX_INFLIGHT_REQUESTS", "1")
+    session = _RejectingSession()
+    monkeypatch.setattr("text2sql.gateway._UrllibSession", lambda: session)
+    out = tmp_path / "out"
+    rc = main(["run", *_cli_args(corpus_dir, tmp_path / "cache", out), "--backend", "record"])
+    captured = capsys.readouterr()
+    assert rc == 2, captured.err
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1, captured.err
+    assert captured.err.startswith("configuration error: ") and "HTTP 401" in captured.err
+    assert 0 < session.posts < len(questions)
+    assert not (out / "report.json").exists()
+
+
+class _FailingGateway:
+    """Replays every request but the ones for ``question``, whose
+    ``complete`` raises an exception that is no Text2SqlError."""
+
+    def __init__(self, gateway, question):
+        self.gateway = gateway
+        self.marker = f"### {question.text}"
+
+    def complete(self, exchange):
+        if exchange.messages[-1].content.endswith(self.marker):
+            raise KeyError("boom")
+        return self.gateway.complete(exchange)
+
+
+def test_an_unexpected_exception_fails_only_its_question(
+    catalog, questions, replay_cache, tmp_path
+):
+    # One worker forks nothing, so the question fails in this process.
+    config = PipelineConfig(backend="replay", cache_dir=replay_cache, max_inflight_requests=1)
+    target = questions[3]
+    gateway = _FailingGateway(make_gateway(config), target)
+    summary = run_link_stage(catalog, questions, gateway, config, tmp_path)
+    assert summary.failures == [(target.question_id, "KeyError: 'boom'")]
+    journaled = [line["question_id"] for line in _journal(tmp_path / LINK_JOURNAL)]
+    assert journaled == [q.question_id for q in questions if q is not target]
 
 
 def test_generate_matches_frozen_predictions(catalog, questions, replay_config, tmp_path):

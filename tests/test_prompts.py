@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from text2sql.catalog import DatabaseSchema, FkRelation, Question
 from text2sql import prompts
 from text2sql.config import PromptConfig
+from text2sql.errors import ConfigurationError
 from text2sql.prompts import (
     build_generation_prompt,
     calibration_history,
@@ -96,6 +97,13 @@ def test_complicated_layout_substitutes_whole_block(concert_schema, count_questi
     assert exchange.messages[-1].content == prompt_fixture(
         "complicated_layout_concert_singer.txt"
     )
+
+
+def test_a_prompt_with_an_unknown_layout_is_refused():
+    # A prompt's settings are the pipeline's, so its one layout check holds:
+    # an unknown layout is no silent fallback to the clear one.
+    with pytest.raises(ConfigurationError, match="unknown layout 'bogus'"):
+        PromptConfig(layout="bogus")
 
 
 def test_foreign_key_lines_can_be_suppressed(c3_linked_view, count_question):
